@@ -1,0 +1,90 @@
+package model
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/lp"
+	"repro/internal/obs"
+	"repro/internal/sdr"
+)
+
+// tinyGenerated is a generated 10x2 design with two chained regions that
+// each need more than one resource class, so its resource rows would come
+// out in map order if Build did not sort them.
+func tinyGenerated(t *testing.T, seed int64) *core.Problem {
+	t.Helper()
+	d := device.MustGenerate(device.GeneratorConfig{Width: 10, Height: 2, BRAMEvery: 5, DSPEvery: 7, Seed: seed})
+	p, err := sdr.Synthetic(sdr.GeneratorConfig{Regions: 2, Device: d, MaxCLB: 4, MaxBRAM: 1, MaxDSP: 1, ChainNets: true, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func conNames(m *lp.Model) []string {
+	out := make([]string, m.NumConstraints())
+	for i := range out {
+		out[i] = m.ConName(lp.ConID(i))
+	}
+	return out
+}
+
+// TestBuildRowOrderDeterministic builds the same problem repeatedly and
+// requires the identical constraint sequence each time.
+func TestBuildRowOrderDeterministic(t *testing.T) {
+	p := smallProblem(1, core.RelocConstraint)
+	p.Regions[0].Req[device.ClassBRAM] = 1 // three classes in one region
+	first, err := Build(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := conNames(first.LP)
+	for rep := 0; rep < 20; rep++ {
+		c, err := Build(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := conNames(c.LP)
+		if len(got) != len(want) {
+			t.Fatalf("rep %d: %d rows, want %d", rep, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("rep %d: row %d is %q, want %q", rep, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMILPSolveRepeats solves one generated design with milp-o several
+// times and requires the same node and pivot counts every time: the
+// search path depends only on the problem.
+func TestMILPSolveRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeated MILP solves")
+	}
+	var wantNodes, wantPivots int64
+	for rep := 0; rep < 8; rep++ {
+		rec := obs.NewRecorder()
+		sol, err := (&OEngine{}).Solve(context.Background(), tinyGenerated(t, 13),
+			core.SolveOptions{Workers: 1, TimeLimit: 60 * time.Second, Probe: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Proven {
+			t.Fatalf("rep %d: not proven optimal", rep)
+		}
+		nodes, pivots := rec.Total(obs.Nodes), rec.Total(obs.Pivots)
+		if rep == 0 {
+			wantNodes, wantPivots = nodes, pivots
+			continue
+		}
+		if nodes != wantNodes || pivots != wantPivots {
+			t.Fatalf("rep %d: %d nodes / %d pivots, want %d / %d", rep, nodes, pivots, wantNodes, wantPivots)
+		}
+	}
+}

@@ -48,6 +48,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/lp"
 	"repro/internal/partition"
 	"repro/internal/seqpair"
@@ -518,12 +519,21 @@ func (c *Compiled) violOf(area int) lp.VarID {
 	return c.viol[area-c.regionCount()]
 }
 
-// buildResources emits the per-class coverage constraints of the regions.
+// buildResources emits the per-class coverage constraints of the regions,
+// in sorted class order so the model's row order does not depend on map
+// iteration: the simplex follows row order, so a random order would make
+// node and pivot counts differ between runs of the same problem.
 func (c *Compiled) buildResources() {
 	d := c.Problem.Device
 	for n := 0; n < c.regionCount(); n++ {
 		req := c.Problem.Regions[n].Req
-		for class, needed := range req {
+		classes := make([]device.Class, 0, len(req))
+		for class := range req {
+			classes = append(classes, class)
+		}
+		sort.Slice(classes, func(a, b int) bool { return classes[a] < classes[b] })
+		for _, class := range classes {
+			needed := req[class]
 			if needed <= 0 {
 				continue
 			}
