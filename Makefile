@@ -5,6 +5,7 @@
 #   make serve   run the floorplanning service daemon locally
 #   make test      plain test run (no race detector; faster)
 #   make bench     candidate-enumeration cache benchmarks (hit vs miss)
+#                  and branch-and-bound node cost (allocs/node)
 #   make obs-bench telemetry + profile-label overhead benchmarks (bare vs
 #                  no-op vs recorder; labels off vs on)
 #   make diag-smoke boot floorpland with chaos + fault injection, force an
@@ -85,6 +86,7 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidate' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkMILPNodes' -benchmem ./internal/milp
 
 obs-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkObsOverhead|BenchmarkProfileLabelOverhead' -benchmem .

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -71,8 +70,7 @@ func (s *simplex) btran(u []float64) {
 // ftran'd entering column; tiny off-pivot entries are dropped to keep the
 // file sparse (they are far below the solver's feasibility tolerance).
 func (s *simplex) appendEta(alpha []float64, r int) {
-	var rows []int32
-	var vals []float64
+	start := len(s.etaRows)
 	for i, a := range alpha {
 		if i == r || a == 0 {
 			continue
@@ -80,10 +78,25 @@ func (s *simplex) appendEta(alpha []float64, r int) {
 		if math.Abs(a) < 1e-13 {
 			continue
 		}
-		rows = append(rows, int32(i))
-		vals = append(vals, a)
+		s.etaRows = append(s.etaRows, int32(i))
+		s.etaVals = append(s.etaVals, a)
 	}
-	s.etas = append(s.etas, eta{r: int32(r), alphaR: alpha[r], rows: rows, vals: vals})
+	s.pushEta(int32(r), alpha[r], start)
+}
+
+// pushEta appends the eta whose off-pivot entries are the arena's tail
+// from start on. The capped sub-slices stay valid when a later append
+// moves the arena: an eta is never written after it is pushed.
+func (s *simplex) pushEta(r int32, alphaR float64, start int) {
+	end := len(s.etaRows)
+	s.etas = append(s.etas, eta{r: r, alphaR: alphaR, rows: s.etaRows[start:end:end], vals: s.etaVals[start:end:end]})
+}
+
+// resetEtas empties the eta file and its arena together.
+func (s *simplex) resetEtas() {
+	s.etas = s.etas[:0]
+	s.etaRows = s.etaRows[:0]
+	s.etaVals = s.etaVals[:0]
 }
 
 // factorize rebuilds the eta file from the current basis columns and
@@ -100,27 +113,23 @@ func (s *simplex) appendEta(alpha []float64, r int) {
 // StatusNumericalFailure if the basis matrix is singular.
 func (s *simplex) factorize() Status {
 	m := s.m
-	s.etas = s.etas[:0]
-	if s.forder == nil {
-		s.forder = make([]int, m)
-		s.fpivoted = make([]bool, m)
-		s.fbasis = make([]int, m)
-		s.fmark = make([]bool, m)
-		s.find = make([]int32, 0, 64)
-		s.fwork = make([]float64, m)
-	}
-	order := s.forder
+	s.resetEtas()
+	// Rows by the length of their basic column, ties by row: a stable
+	// counting sort, as column lengths are at most c.maxColLen.
+	order, count := s.forder, s.fcount
 	for r := 0; r < m; r++ {
-		order[r] = r
 		s.fpivoted[r] = false
+		count[len(s.cols[s.basis[r]])+1]++
 	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := len(s.cols[s.basis[order[a]]]), len(s.cols[s.basis[order[b]]])
-		if la != lb {
-			return la < lb
-		}
-		return order[a] < order[b]
-	})
+	for l := 1; l < len(count); l++ {
+		count[l] += count[l-1]
+	}
+	for r := 0; r < m; r++ {
+		l := len(s.cols[s.basis[r]])
+		order[count[l]] = r
+		count[l]++
+	}
+	clear(count)
 
 	v := s.fwork
 	for t, r0 := range order {
@@ -178,16 +187,15 @@ func (s *simplex) factorize() Status {
 		// Identity columns (a slack pivoting its own untouched row) need
 		// no eta at all.
 		if !(len(ind) == 1 && v[best] == 1) {
-			var rows []int32
-			var vals []float64
+			start := len(s.etaRows)
 			for _, r := range ind {
 				if r == best || v[r] == 0 || math.Abs(v[r]) < 1e-13 {
 					continue
 				}
-				rows = append(rows, r)
-				vals = append(vals, v[r])
+				s.etaRows = append(s.etaRows, r)
+				s.etaVals = append(s.etaVals, v[r])
 			}
-			s.etas = append(s.etas, eta{r: best, alphaR: v[best], rows: rows, vals: vals})
+			s.pushEta(best, v[best], start)
 		}
 		s.fpivoted[best] = true
 		s.fbasis[best] = j

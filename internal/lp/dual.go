@@ -21,11 +21,13 @@ func (s *simplex) warmSolve(wb *Basis, returnBasis bool) (Solution, bool) {
 	if len(wb.Basic) != s.m || len(wb.Stat) != s.n {
 		return Solution{}, false
 	}
-	// Install the snapshot: copy, never mutate the shared *Basis.
-	s.basis = make([]int, s.m)
-	s.stat = make([]vstat, s.n)
-	s.x = make([]float64, s.n)
-	inBasis := make([]bool, s.n)
+	// Install the snapshot: copy, never mutate the shared *Basis. The
+	// basic entries of x are set by factorize.
+	s.basis = s.basis[:s.m]
+	s.stat = s.stat[:s.n]
+	s.x = s.x[:s.n]
+	inBasis := s.inBasis[:s.n]
+	clear(inBasis)
 	for r, j := range wb.Basic {
 		if j < 0 || int(j) >= s.n || inBasis[j] {
 			return Solution{}, false
@@ -52,7 +54,7 @@ func (s *simplex) warmSolve(wb *Basis, returnBasis bool) (Solution, bool) {
 		return Solution{}, false
 	}
 
-	s.cost = make([]float64, s.n)
+	s.cost = s.cost[:s.n]
 	copy(s.cost, s.cost2)
 	switch st := s.dualRun(); st {
 	case StatusOptimal:
@@ -123,9 +125,6 @@ func (s *simplex) deadlineExceeded() bool {
 // certificate independent of the objective), or the usual budget/numeric
 // statuses.
 func (s *simplex) dualRun() Status {
-	if s.rho == nil {
-		s.rho = make([]float64, s.m)
-	}
 	feasTol := math.Max(s.tol, 1e-9)
 	sinceRefactor := 0
 	for {

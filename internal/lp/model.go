@@ -4,9 +4,13 @@
 //
 // The paper solves its floorplanning formulation with a commercial MILP
 // solver; this package is the open substrate substituted for it (see
-// DESIGN.md). It is a dense, two-phase bounded-variable simplex with
-// explicit basis-inverse maintenance and periodic refactorization —
-// adequate for the model sizes produced by internal/model.
+// DESIGN.md). It is a two-phase bounded-variable revised simplex over a
+// sparse column-major matrix, keeping the basis inverse in product form
+// as an eta file that is rebuilt by sparse refactorization every 100
+// pivots, with a dual simplex for warm starts from an earlier basis.
+// Repeated solves of one model (branch-and-bound nodes) compile the
+// matrix once and reuse a Workspace, so a node solve allocates only its
+// results.
 package lp
 
 import (

@@ -103,20 +103,28 @@ type sparseEntry struct {
 	coef float64
 }
 
-// simplex holds the working state of one solve.
+// simplex holds the working state of a solve. It lives in a Workspace
+// and is reset, not reallocated, by each solve: NewWorkspace sizes its
+// buffers once and solves reslice them (only the eta file and its arena
+// grow, and they keep their capacity across solves).
 type simplex struct {
+	c       *Compiled
 	m, n    int // rows, total columns (structural + slack + artificial)
 	nStruct int
-	cols    [][]sparseEntry
+	cols    [][]sparseEntry // c's columns, then this solve's artificials
 	lo, hi  []float64
 	cost    []float64 // current phase costs
 	cost2   []float64 // phase-2 costs
-	b       []float64
+	b       []float64 // the model's right-hand sides (read-only)
 
-	basis    []int   // row -> column
-	stat     []vstat // column -> status
-	x        []float64
-	etas     []eta // product-form basis inverse
+	basis []int   // row -> column
+	stat  []vstat // column -> status
+	x     []float64
+	etas  []eta // product-form basis inverse
+	// etaRows and etaVals are the arena the etas' rows and vals slice
+	// into. They are truncated only together with etas.
+	etaRows  []int32
+	etaVals  []float64
 	tol      float64
 	iters    int
 	maxIter  int
@@ -126,11 +134,13 @@ type simplex struct {
 	bland       bool
 
 	// scratch buffers
-	y     []float64
-	alpha []float64
-	rho   []float64
-	// factorization scratch (lazily allocated by factorize)
+	y       []float64
+	alpha   []float64
+	rho     []float64
+	inBasis []bool // warm-start duplicate check
+	// factorization scratch
 	forder   []int
+	fcount   []int // counting-sort buckets by column length
 	fpivoted []bool
 	fbasis   []int
 	fmark    []bool
@@ -146,22 +156,24 @@ func Solve(m *Model, opts Options) Solution {
 
 // SolveWithBounds solves the model with per-variable bound overrides.
 // Either override slice may be nil (use model bounds); individual entries
-// equal to NaN also fall back to the model bound. This is the entry point
-// used by branch-and-bound nodes.
+// equal to NaN also fall back to the model bound. Repeated solves of one
+// model, such as branch-and-bound nodes, should go through a Workspace,
+// which compiles the matrix and allocates the working arrays only once.
 func SolveWithBounds(m *Model, opts Options, loOverride, hiOverride []float64) Solution {
-	sol := solveWithBounds(m, opts, loOverride, hiOverride)
-	if opts.Obs != nil && sol.Iterations > 0 {
-		opts.Obs.Add(obs.Pivots, int64(sol.Iterations))
-	}
-	return sol
-}
-
-func solveWithBounds(m *Model, opts Options, loOverride, hiOverride []float64) Solution {
+	// Poll before compiling, so an expired deadline costs no setup work.
 	if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
 		return Solution{Status: StatusIterationLimit}
 	}
-	s, st := setup(m, opts, loOverride, hiOverride)
-	if st != StatusOptimal {
+	return Compile(m).NewWorkspace().SolveWithBounds(m, opts, loOverride, hiOverride)
+}
+
+// solve runs one solve of the compiled model on s: a warm start when
+// opts.WarmBasis is usable, the cold two-phase primal otherwise.
+func (s *simplex) solve(opts Options, loOverride, hiOverride []float64) Solution {
+	if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
+		return Solution{Status: StatusIterationLimit}
+	}
+	if st := s.setup(opts, loOverride, hiOverride); st != StatusOptimal {
 		return Solution{Status: st}
 	}
 
@@ -172,8 +184,7 @@ func solveWithBounds(m *Model, opts Options, loOverride, hiOverride []float64) S
 		// Warm start unusable (stale basis, numerical trouble): rebuild
 		// clean state and fall through to the cold two-phase solve.
 		iters := s.iters
-		s, st = setup(m, opts, loOverride, hiOverride)
-		if st != StatusOptimal {
+		if st := s.setup(opts, loOverride, hiOverride); st != StatusOptimal {
 			return Solution{Status: st}
 		}
 		s.iters = iters
@@ -186,7 +197,8 @@ func solveWithBounds(m *Model, opts Options, loOverride, hiOverride []float64) S
 	// Phase 1 if artificials were needed.
 	total := s.nStruct + s.m
 	if s.n > total {
-		s.cost = make([]float64, s.n)
+		s.cost = s.cost[:s.n]
+		clear(s.cost)
 		for j := total; j < s.n; j++ {
 			s.cost[j] = 1
 		}
@@ -213,12 +225,11 @@ func solveWithBounds(m *Model, opts Options, loOverride, hiOverride []float64) S
 	}
 
 	// Phase 2.
-	s.cost = make([]float64, s.n)
+	s.cost = s.cost[:s.n]
 	copy(s.cost, s.cost2)
 	s.bland = false
 	s.degenStreak = 0
-	st = s.run()
-	if st != StatusOptimal {
+	if st := s.run(); st != StatusOptimal {
 		return Solution{Status: st, Iterations: s.iters}
 	}
 	return s.solution(opts.ReturnBasis)
@@ -239,34 +250,28 @@ func (s *simplex) solution(returnBasis bool) Solution {
 	return sol
 }
 
-// setup assembles the working arrays (structural columns, bounds with
-// overrides applied, slack columns) shared by the cold and warm paths.
-// It returns StatusInfeasible when an override crosses its bound.
-func setup(m *Model, opts Options, loOverride, hiOverride []float64) (*simplex, Status) {
+// setup resets the working arrays for a solve: bounds with overrides
+// applied over the compiled columns, phase-2 costs, counters. It returns
+// StatusInfeasible when an override crosses its bound.
+func (s *simplex) setup(opts Options, loOverride, hiOverride []float64) Status {
+	c, m := s.c, s.c.model
 	tol := opts.Tol
 	if tol <= 0 {
 		tol = defaultTol
 	}
-	nStruct := m.NumVariables()
-	rows := m.NumConstraints()
-
-	s := &simplex{
-		m:       rows,
-		nStruct: nStruct,
-		tol:     tol,
-	}
+	nStruct, rows := c.nStruct, c.m
+	total := nStruct + rows
+	s.m, s.nStruct, s.n = rows, nStruct, total
+	s.tol = tol
+	s.iters, s.degenStreak, s.bland = 0, 0, false
 	s.maxIter = opts.MaxIterations
 	if s.maxIter <= 0 {
 		s.maxIter = 2000 + 40*(rows+nStruct)
 	}
 	s.deadline = opts.Deadline
 
-	// Assemble columns: structural then one slack per row.
-	total := nStruct + rows
-	s.cols = make([][]sparseEntry, total, total+rows)
-	s.lo = make([]float64, total, total+rows)
-	s.hi = make([]float64, total, total+rows)
-	s.cost2 = make([]float64, total, total+rows)
+	s.cols = s.cols[:total]
+	s.lo, s.hi, s.cost2 = s.lo[:total], s.hi[:total], s.cost2[:total]
 	for j := 0; j < nStruct; j++ {
 		s.lo[j] = m.lo[j]
 		s.hi[j] = m.hi[j]
@@ -277,35 +282,18 @@ func setup(m *Model, opts Options, loOverride, hiOverride []float64) (*simplex, 
 			s.hi[j] = hiOverride[j]
 		}
 		if s.lo[j] > s.hi[j]+tol {
-			return nil, StatusInfeasible
+			return StatusInfeasible
 		}
 		if s.lo[j] > s.hi[j] {
 			s.lo[j] = s.hi[j]
 		}
 		s.cost2[j] = m.obj[j]
 	}
-	for r, row := range m.rows {
-		for _, t := range row {
-			s.cols[t.Var] = append(s.cols[t.Var], sparseEntry{row: r, coef: t.Coef})
-		}
-	}
-	s.b = append([]float64(nil), m.rhs...)
-	for r := 0; r < rows; r++ {
-		j := nStruct + r
-		s.cols[j] = []sparseEntry{{row: r, coef: 1}}
-		switch m.senses[r] {
-		case LE:
-			s.lo[j], s.hi[j] = 0, Inf
-		case GE:
-			s.lo[j], s.hi[j] = -Inf, 0
-		case EQ:
-			s.lo[j], s.hi[j] = 0, 0
-		}
-	}
-	s.n = total
-	s.y = make([]float64, rows)
-	s.alpha = make([]float64, rows)
-	return s, StatusOptimal
+	copy(s.lo[nStruct:], c.slackLo)
+	copy(s.hi[nStruct:], c.slackHi)
+	clear(s.cost2[nStruct:])
+	s.b = m.rhs
+	return StatusOptimal
 }
 
 // initialize sets the cold starting point: structurals at a finite bound
@@ -313,8 +301,8 @@ func setup(m *Model, opts Options, loOverride, hiOverride []float64) (*simplex, 
 // initial basis is diagonal, so its product-form inverse needs one eta per
 // negative-signed artificial and nothing else.
 func (s *simplex) initialize() Status {
-	s.x = make([]float64, s.n, s.n+s.m)
-	s.stat = make([]vstat, s.n, s.n+s.m)
+	s.x = s.x[:s.n]
+	s.stat = s.stat[:s.n]
 	for j := 0; j < s.nStruct; j++ {
 		switch {
 		case !math.IsInf(s.lo[j], -1):
@@ -329,8 +317,10 @@ func (s *simplex) initialize() Status {
 		}
 	}
 
-	// Row activity of the nonbasic structurals.
-	act := make([]float64, s.m)
+	// Row activity of the nonbasic structurals, accumulated in alpha,
+	// which run rewrites before every read.
+	act := s.alpha
+	clear(act)
 	for j := 0; j < s.nStruct; j++ {
 		if v := s.x[j]; v != 0 {
 			for _, e := range s.cols[j] {
@@ -339,8 +329,7 @@ func (s *simplex) initialize() Status {
 		}
 	}
 
-	s.basis = make([]int, s.m)
-	s.etas = s.etas[:0]
+	s.resetEtas()
 	for r := 0; r < s.m; r++ {
 		slack := s.nStruct + r
 		resid := s.b[r] - act[r]
@@ -368,7 +357,7 @@ func (s *simplex) initialize() Status {
 			sign = -1.0
 		}
 		aj := len(s.cols)
-		s.cols = append(s.cols, []sparseEntry{{row: r, coef: sign}})
+		s.cols = append(s.cols, s.c.artificial(r, sign))
 		s.lo = append(s.lo, 0)
 		s.hi = append(s.hi, Inf)
 		s.cost2 = append(s.cost2, 0)

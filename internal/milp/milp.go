@@ -13,7 +13,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -192,6 +191,7 @@ func Solve(ctx context.Context, m *lp.Model, opts Options) Result {
 
 	st := &search{
 		model:     m,
+		compiled:  lp.Compile(m),
 		intVars:   intVars,
 		intTol:    intTol,
 		lpOpts:    lpOpts,
@@ -254,10 +254,13 @@ func Solve(ctx context.Context, m *lp.Model, opts Options) Result {
 
 // search is the shared state of one branch-and-bound run.
 type search struct {
-	model   *lp.Model
-	intVars []lp.VarID
-	intTol  float64
-	lpOpts  lp.Options
+	model *lp.Model
+	// compiled is the model's matrix, shared read-only by the workers'
+	// LP workspaces.
+	compiled *lp.Compiled
+	intVars  []lp.VarID
+	intTol   float64
+	lpOpts   lp.Options
 
 	mu        sync.Mutex
 	queue     nodeQueue
@@ -283,6 +286,17 @@ type search struct {
 	// solved. An "exhausted" queue then proves nothing: neither
 	// optimality nor infeasibility may be claimed.
 	lpCut bool
+}
+
+// worker is the private state of one node processor: its LP workspace
+// and the rounding heuristic's buffer.
+type worker struct {
+	ws      *lp.Workspace
+	rounded []float64
+}
+
+func (st *search) newWorker() *worker {
+	return &worker{ws: st.compiled.NewWorkspace(), rounded: make([]float64, st.model.NumVariables())}
 }
 
 func nanSlice(n int) []float64 {
@@ -319,7 +333,8 @@ func (st *search) accept(obj float64, x []float64) {
 	cb := st.onIncumb
 	st.mu.Unlock()
 	if improved && cb != nil {
-		cb(obj, x)
+		// x may be a worker's reused buffer; the callback gets its own.
+		cb(obj, append([]float64(nil), x...))
 	}
 }
 
@@ -338,6 +353,7 @@ func (st *search) outOfBudget() bool {
 }
 
 func (st *search) runSequential() {
+	w := st.newWorker()
 	for {
 		st.mu.Lock()
 		if len(st.queue) == 0 {
@@ -366,7 +382,7 @@ func (st *search) runSequential() {
 			st.mu.Unlock()
 			return
 		}
-		st.processNode(nd)
+		st.processNode(w, nd)
 	}
 }
 
@@ -375,8 +391,9 @@ func (st *search) runParallel(workers int) {
 	cond := sync.NewCond(&st.mu)
 	done := false
 
-	worker := func() {
+	work := func() {
 		defer wg.Done()
+		w := st.newWorker()
 		for {
 			st.mu.Lock()
 			for len(st.queue) == 0 && st.active > 0 && !done {
@@ -418,7 +435,7 @@ func (st *search) runParallel(workers int) {
 				st.mu.Unlock()
 				return
 			}
-			st.processNode(nd)
+			st.processNode(w, nd)
 
 			st.mu.Lock()
 			st.active--
@@ -429,7 +446,7 @@ func (st *search) runParallel(workers int) {
 
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go worker()
+		go work()
 	}
 	wg.Wait()
 	st.mu.Lock()
@@ -439,12 +456,13 @@ func (st *search) runParallel(workers int) {
 	st.mu.Unlock()
 }
 
-// processNode solves the node relaxation, prunes or branches.
-func (st *search) processNode(nd *node) {
+// processNode solves the node relaxation on w's workspace, prunes or
+// branches.
+func (st *search) processNode(w *worker, nd *node) {
 	lpOpts := st.lpOpts
 	lpOpts.ReturnBasis = true
 	lpOpts.WarmBasis = nd.basis
-	sol := lp.SolveWithBounds(st.model, lpOpts, nd.lo, nd.hi)
+	sol := w.ws.SolveWithBounds(st.model, lpOpts, nd.lo, nd.hi)
 	switch sol.Status {
 	case lp.StatusInfeasible:
 		if nd.depth == 0 {
@@ -463,11 +481,10 @@ func (st *search) processNode(nd *node) {
 		return
 	case lp.StatusOptimal:
 	default:
-		// Iteration limit / numerical trouble: treat the node bound as
-		// the parent's and keep going by branching on the most
-		// fractional variable of the incumbent-less relaxation is not
-		// possible without a solution, so drop the node conservatively
-		// only when it carried no solution.
+		// Iteration limit, deadline or numerical trouble: without a
+		// solved relaxation there is no point to branch on, so the node
+		// is dropped and the search can no longer prove optimality or
+		// infeasibility.
 		if sol.X == nil {
 			st.mu.Lock()
 			st.lpCut = true
@@ -484,7 +501,7 @@ func (st *search) processNode(nd *node) {
 		return // bound prune
 	}
 
-	branchVar, frac := st.mostFractional(sol.X)
+	branchVar := st.mostFractional(sol.X)
 	if branchVar < 0 {
 		// Integral: new incumbent.
 		x := append([]float64(nil), sol.X...)
@@ -494,14 +511,14 @@ func (st *search) processNode(nd *node) {
 		st.accept(st.model.Objective(x), x)
 		return
 	}
-	_ = frac
 
 	// Rounding heuristic: nearest-integer (then floor) rounding of the
 	// relaxation occasionally lands on a feasible point, giving an early
 	// incumbent that sharpens pruning for free.
 	if nd.depth <= 8 {
+		rounded := w.rounded
 		for _, round := range []func(float64) float64{math.Round, math.Floor} {
-			rounded := append([]float64(nil), sol.X...)
+			copy(rounded, sol.X)
 			for _, v := range st.intVars {
 				lo, hi := st.model.Bounds(v)
 				r := round(rounded[v])
@@ -551,8 +568,8 @@ func (st *search) processNode(nd *node) {
 }
 
 // mostFractional returns the integer variable whose relaxation value is
-// farthest from integrality, or (-1, 0) when all are integral.
-func (st *search) mostFractional(x []float64) (lp.VarID, float64) {
+// farthest from integrality, or -1 when all are integral.
+func (st *search) mostFractional(x []float64) lp.VarID {
 	best := lp.VarID(-1)
 	bestFrac := st.intTol
 	for _, v := range st.intVars {
@@ -561,10 +578,7 @@ func (st *search) mostFractional(x []float64) (lp.VarID, float64) {
 			best, bestFrac = v, f
 		}
 	}
-	if best < 0 {
-		return -1, 0
-	}
-	return best, bestFrac
+	return best
 }
 
 // finalBound computes the best proven lower bound: the minimum over the
@@ -572,19 +586,15 @@ func (st *search) mostFractional(x []float64) (lp.VarID, float64) {
 func (st *search) finalBound() float64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	bounds := make([]float64, 0, len(st.queue)+1)
-	for _, nd := range st.queue {
-		bounds = append(bounds, nd.bound)
-	}
-	if st.best != nil {
-		bounds = append(bounds, st.incumbent)
-	}
-	if len(bounds) == 0 {
-		if st.best != nil {
-			return st.incumbent
-		}
+	if len(st.queue) == 0 && st.best == nil {
 		return math.Inf(-1)
 	}
-	sort.Float64s(bounds)
-	return bounds[0]
+	bound := math.Inf(1)
+	if st.best != nil {
+		bound = st.incumbent
+	}
+	for _, nd := range st.queue {
+		bound = math.Min(bound, nd.bound)
+	}
+	return bound
 }
