@@ -7,7 +7,7 @@
 //	floorplanner -design SDR3 -engine portfolio -time 10s
 //	floorplanner -design SDR2 -engine milp-ho -trace   # telemetry table
 //	floorplanner -design SDR2 -engine portfolio -members exact,constructive,tessellation
-//	floorplanner -design SDR2 -fallback exact,milp-ho,constructive
+//	floorplanner -design SDR2 -fallback exact,milp-ho,constructive   # = -engine fallback -members ...
 //	floorplanner -problem my-problem.json -svg plan.svg -out solution.json
 //	floorplanner -session events.json -session-device fx70t -engine constructive
 //	floorplanner -session seeded:200 -seed 7      # generated online workload
@@ -53,8 +53,8 @@ func run() error {
 		problemPath = flag.String("problem", "", "path to a problem JSON file")
 		design      = flag.String("design", "", "built-in design: SDR, SDR2 or SDR3")
 		engine      = flag.String("engine", "exact", "engine: "+strings.Join(floorplanner.EngineNames(), ", "))
-		members     = flag.String("members", "", "comma-separated member engines raced by -engine portfolio (empty = default race)")
-		fallback    = flag.String("fallback", "", "comma-separated engine chain; implies -engine fallback (empty chain = exact,milp-ho,constructive)")
+		members     = flag.String("members", "", "comma-separated member engines of -engine portfolio (raced) or -engine fallback (tried in order); empty = the preset's default list")
+		fallback    = flag.String("fallback", "", "comma-separated engine chain; shorthand for -engine fallback -members CHAIN")
 		timeLimit   = flag.Duration("time", 60*time.Second, "solve time limit")
 		seed        = flag.Int64("seed", 1, "seed for randomized engines")
 		workers     = flag.Int("workers", 0, "parallel workers (engine dependent)")
@@ -94,13 +94,6 @@ func run() error {
 		return err
 	}
 
-	var memberList []string
-	if *members != "" {
-		if *engine != "portfolio" {
-			return fmt.Errorf("-members requires -engine portfolio")
-		}
-		memberList = strings.Split(*members, ",")
-	}
 	if *fallback != "" {
 		if *members != "" {
 			return fmt.Errorf("-fallback and -members are mutually exclusive")
@@ -108,8 +101,14 @@ func run() error {
 		if *engine != "exact" && *engine != "fallback" {
 			return fmt.Errorf("-fallback implies -engine fallback; drop -engine %s", *engine)
 		}
-		*engine = "fallback"
-		memberList = strings.Split(*fallback, ",")
+		*engine, *members = "fallback", *fallback
+	}
+	var memberList []string
+	if *members != "" {
+		if *engine != "portfolio" && *engine != "fallback" {
+			return fmt.Errorf("-members requires -engine portfolio or -engine fallback")
+		}
+		memberList = strings.Split(*members, ",")
 	}
 
 	solveOpts := floorplanner.Options{

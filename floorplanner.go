@@ -33,11 +33,16 @@
 //	constructive deterministic greedy placer
 //	annealing    simulated-annealing baseline in the spirit of [9]
 //	tessellation greedy columnar packer in the spirit of [8]
-//	portfolio    races exact, milp-ho and the heuristics concurrently
-//	             under one shared time budget and returns the best answer
-//	fallback     tries exact, then milp-ho, then constructive under one
-//	             shared budget, degrading past panics, invalid solutions
-//	             and per-stage timeouts (see internal/guard)
+//	portfolio    the meta-engine's Race schedule: exact, milp-ho and the
+//	             heuristics run concurrently under one shared time budget
+//	             and the best answer wins
+//	fallback     the meta-engine's Sequence schedule: exact, then
+//	             milp-ho, then constructive under one shared budget,
+//	             degrading past panics, invalid solutions and per-stage
+//	             timeouts
+//
+// Both meta-engine presets are one guard.Composite (see internal/guard);
+// Options.Members replaces either's default member list.
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the
 // paper-versus-measured evaluation.
@@ -56,7 +61,6 @@ import (
 	"repro/internal/heuristic"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/portfolio"
 )
 
 // Re-exported problem/solution types: the stable public surface.
@@ -189,7 +193,7 @@ func NewEngine(name string) (Engine, error) {
 	case "tessellation":
 		return &heuristic.Tessellation{}, nil
 	case "portfolio":
-		return portfolio.New(), nil
+		return NewPortfolio()
 	case "fallback":
 		return NewFallback()
 	default:
@@ -197,28 +201,12 @@ func NewEngine(name string) (Engine, error) {
 	}
 }
 
+// metaSchedules maps the meta-engine presets to their schedules.
+var metaSchedules = map[string]guard.Schedule{"portfolio": guard.Race, "fallback": guard.Sequence}
+
 // NewPortfolio builds a portfolio engine racing the named members
-// (empty = the default race: exact, milp-ho and the three heuristics).
-// Infeasibility verdicts are trusted only from engines that search the
-// full solution space (exact, milp-o); milp-ho's MILP is restricted to
-// its seed's sequence pair, so its verdicts are not proofs.
-func NewPortfolio(members ...string) (Engine, error) {
-	ms := make([]portfolio.Member, 0, len(members))
-	for _, name := range members {
-		if name == "portfolio" {
-			return nil, fmt.Errorf("floorplanner: portfolio cannot race itself")
-		}
-		eng, err := NewEngine(name)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, portfolio.Member{
-			Engine:          eng,
-			TrustInfeasible: name == "exact" || name == "milp-o",
-		})
-	}
-	return portfolio.New(ms...), nil
-}
+// (empty = exact, milp-ho and the three heuristics).
+func NewPortfolio(members ...string) (Engine, error) { return newMeta(guard.Race, members) }
 
 // DefaultFallbackChain is the fallback engine's default degradation
 // order: the optimality-proving engine first, the paper's fast HO flow
@@ -227,30 +215,39 @@ func DefaultFallbackChain() []string { return []string{"exact", "milp-ho", "cons
 
 // NewFallback builds a graceful-degradation chain trying the named
 // engines in order (empty = DefaultFallbackChain) under one shared
-// budget. Each stage runs guarded: the chain advances past panics,
-// invalid solutions, errors and per-stage budget expiry, so the caller
-// gets the best answer the remaining budget allows. Infeasibility
-// verdicts end the chain only from engines that search the full solution
-// space (exact, milp-o).
-func NewFallback(members ...string) (Engine, error) {
-	if len(members) == 0 {
-		members = DefaultFallbackChain()
+// budget, advancing past panics, invalid solutions, errors and
+// per-stage budget expiry.
+func NewFallback(members ...string) (Engine, error) { return newMeta(guard.Sequence, members) }
+
+// newMeta builds the meta-engine on the given schedule over the named
+// members (empty = that schedule's default list). Infeasibility verdicts
+// are trusted only from the engines that search the full solution space,
+// exact and milp-o: milp-ho's MILP is restricted to its seed's sequence
+// pair and the heuristics' bounded searches prove nothing, so their
+// "infeasible" counts as an exhausted budget.
+func newMeta(schedule guard.Schedule, names []string) (Engine, error) {
+	c := &guard.Composite{Schedule: schedule}
+	switch {
+	case len(names) > 0:
+	case schedule == guard.Race:
+		names = []string{"exact", "milp-ho", "constructive", "annealing", "tessellation"}
+	default:
+		names = DefaultFallbackChain()
 	}
-	ms := make([]guard.FallbackMember, 0, len(members))
-	for _, name := range members {
-		if name == "fallback" {
-			return nil, fmt.Errorf("floorplanner: fallback cannot chain itself")
+	for _, name := range names {
+		if name == c.Name() {
+			return nil, fmt.Errorf("floorplanner: %s cannot include itself", name)
 		}
 		eng, err := NewEngine(name)
 		if err != nil {
 			return nil, err
 		}
-		ms = append(ms, guard.FallbackMember{
+		c.Members = append(c.Members, guard.Member{
 			Engine:          eng,
 			TrustInfeasible: name == "exact" || name == "milp-o",
 		})
 	}
-	return guard.NewFallback(ms...), nil
+	return c, nil
 }
 
 // EngineNames lists the available engines.
@@ -276,12 +273,9 @@ func RecentSolves(n int) []SolveRecord { return flight.Default().Last(n) }
 func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	var eng Engine
 	var err error
-	switch {
-	case opts.Engine == "portfolio" && len(opts.Members) > 0:
-		eng, err = NewPortfolio(opts.Members...)
-	case opts.Engine == "fallback" && len(opts.Members) > 0:
-		eng, err = NewFallback(opts.Members...)
-	default:
+	if schedule, meta := metaSchedules[opts.Engine]; meta {
+		eng, err = newMeta(schedule, opts.Members)
+	} else {
 		eng, err = NewEngine(opts.Engine)
 	}
 	if err != nil {
@@ -308,14 +302,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	for _, st := range stages.Stages() {
-		rec.Stages = append(rec.Stages, flight.Stage{
-			Engine:    st.Engine,
-			Outcome:   st.Outcome,
-			ElapsedMS: float64(st.Elapsed) / float64(time.Millisecond),
-			Err:       st.Err,
-		})
-	}
+	rec.Stages = stages.Stages()
 	flight.Default().Record(rec)
 	return sol, err
 }

@@ -10,6 +10,7 @@ import (
 
 	floorplanner "repro"
 	"repro/internal/device"
+	"repro/internal/guard"
 	"repro/internal/sdr"
 )
 
@@ -92,24 +93,56 @@ func TestSolveRecordsFlight(t *testing.T) {
 }
 
 func TestSolveRecordsFallbackStages(t *testing.T) {
-	p := quickProblem(t)
-	if _, err := floorplanner.Solve(context.Background(), p, floorplanner.Options{
-		Engine:    "fallback",
-		TimeLimit: 30 * time.Second,
-	}); err != nil {
-		t.Fatal(err)
+	for _, engine := range []string{"fallback", "portfolio"} {
+		t.Run(engine, func(t *testing.T) {
+			p := quickProblem(t)
+			if _, err := floorplanner.Solve(context.Background(), p, floorplanner.Options{
+				Engine:    engine,
+				TimeLimit: 30 * time.Second,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			recs := floorplanner.RecentSolves(1)
+			if len(recs) != 1 || recs[0].Engine != engine {
+				t.Fatalf("newest record is not the %s solve: %+v", engine, recs)
+			}
+			stages := recs[0].Stages
+			if len(stages) == 0 {
+				t.Fatalf("%s record has no stage timings", engine)
+			}
+			if stages[0].Engine != "exact" || stages[0].Outcome != "proven" {
+				t.Errorf("stage 0 = %s/%s, want exact/proven (the first member proves this instance)",
+					stages[0].Engine, stages[0].Outcome)
+			}
+		})
 	}
-	recs := floorplanner.RecentSolves(1)
-	if len(recs) != 1 || recs[0].Engine != "fallback" {
-		t.Fatalf("newest record is not the fallback solve: %+v", recs)
-	}
-	stages := recs[0].Stages
-	if len(stages) == 0 {
-		t.Fatal("fallback record has no stage timings")
-	}
-	if stages[0].Engine != "exact" || stages[0].Outcome != "proven" {
-		t.Errorf("stage 0 = %s/%s, want exact/proven (the chain's first member wins on this instance)",
-			stages[0].Engine, stages[0].Outcome)
+}
+
+// TestDefaultMembersTrustOnlyFullSpaceEngines: only engines that search
+// the full space (exact, milp-o) have their infeasibility verdicts
+// trusted. milp-ho's MILP is restricted to its seed's sequence pair, so
+// trusting it would turn heuristic give-ups into false proofs.
+func TestDefaultMembersTrustOnlyFullSpaceEngines(t *testing.T) {
+	for _, tc := range []struct {
+		preset  func(...string) (floorplanner.Engine, error)
+		members []string
+	}{
+		{floorplanner.NewPortfolio, nil},
+		{floorplanner.NewFallback, nil},
+		{floorplanner.NewPortfolio, []string{"milp-o", "milp-ho", "constructive"}},
+		{floorplanner.NewFallback, []string{"milp-o", "milp-ho", "constructive"}},
+	} {
+		eng, err := tc.preset(tc.members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := eng.(*guard.Composite)
+		for _, m := range c.Members {
+			name := m.Engine.Name()
+			if want := name == "exact" || name == "milp-o"; m.TrustInfeasible != want {
+				t.Errorf("%s member %s: TrustInfeasible = %v, want %v", c.Name(), name, m.TrustInfeasible, want)
+			}
+		}
 	}
 }
 

@@ -17,15 +17,16 @@ import (
 	"strings"
 	"time"
 
+	floorplanner "repro"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exact"
+	"repro/internal/flight"
 	"repro/internal/grid"
+	"repro/internal/guard"
 	"repro/internal/heuristic"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/portfolio"
 	"repro/internal/sdr"
 )
 
@@ -231,8 +232,9 @@ type PortfolioRow struct {
 	// Elapsed is the portfolio's wall-clock; with members racing
 	// concurrently it tracks the decisive member, not the sum.
 	Elapsed time.Duration
-	// Members records each member's own latency and outcome.
-	Members []portfolio.MemberStats
+	// Members records each member's own latency and outcome, from the
+	// solve's stage log.
+	Members []flight.Stage
 }
 
 // PortfolioRace runs the portfolio engine on the three SDR instances
@@ -251,9 +253,13 @@ func PortfolioRace(ctx context.Context, budget time.Duration) ([]PortfolioRow, e
 		case "SDR3":
 			p = sdr.SDR3()
 		}
-		pf := &portfolio.Portfolio{Stats: portfolio.NewStats()}
+		pf, err := floorplanner.NewPortfolio()
+		if err != nil {
+			return nil, err
+		}
+		sctx, stages := guard.WithStageLog(ctx)
 		start := time.Now()
-		sol, err := pf.Solve(ctx, p, core.SolveOptions{TimeLimit: budget, Seed: 1})
+		sol, err := pf.Solve(sctx, p, core.SolveOptions{TimeLimit: budget, Seed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: portfolio on %s: %w", design, err)
 		}
@@ -267,7 +273,7 @@ func PortfolioRace(ctx context.Context, budget time.Duration) ([]PortfolioRow, e
 			Wasted:     m.WastedFrames,
 			WireLength: m.WireLength,
 			Elapsed:    time.Since(start),
-			Members:    pf.Stats.Snapshot(),
+			Members:    stages.Stages(),
 		})
 	}
 	return rows, nil
@@ -281,15 +287,13 @@ func FormatPortfolio(rows []PortfolioRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-6s %-24s %14d %10.0f %9s\n",
 			r.Design, r.Winner, r.Wasted, r.WireLength, r.Elapsed.Round(time.Millisecond))
-		for _, ms := range r.Members {
-			verdict := "ok"
-			if ms.Failures > 0 {
-				verdict = "failed"
-			}
-			if ms.Wins > 0 {
+		for _, st := range r.Members {
+			verdict := st.Outcome
+			if r.Winner == "portfolio("+st.Engine+")" {
 				verdict = "WON"
 			}
-			fmt.Fprintf(&b, "    %-20s %9s  %s\n", ms.Name, ms.Total.Round(time.Millisecond), verdict)
+			elapsed := time.Duration(st.ElapsedMS * float64(time.Millisecond))
+			fmt.Fprintf(&b, "    %-20s %9s  %s\n", st.Engine, elapsed.Round(time.Millisecond), verdict)
 		}
 	}
 	return b.String()
@@ -316,16 +320,7 @@ type TelemetryRow struct {
 // order. milp-o is omitted: on the full SDR instances its exhaustive MILP
 // dominates the sweep's wall-clock without adding counter coverage beyond
 // milp-ho.
-func telemetryEngines() []core.Engine {
-	return []core.Engine{
-		&exact.Engine{},
-		&model.HOEngine{},
-		&heuristic.Constructive{},
-		&heuristic.Annealing{},
-		&heuristic.Tessellation{},
-		portfolio.New(),
-	}
-}
+var telemetryEngines = []string{"exact", "milp-ho", "constructive", "annealing", "tessellation", "portfolio"}
 
 // Telemetry runs every engine on the named SDR instance under a recording
 // probe and reports the per-engine work counters and incumbent
@@ -338,7 +333,11 @@ func Telemetry(ctx context.Context, design string, budget time.Duration) ([]Tele
 		return nil, err
 	}
 	var rows []TelemetryRow
-	for _, eng := range telemetryEngines() {
+	for _, name := range telemetryEngines {
+		eng, err := floorplanner.NewEngine(name)
+		if err != nil {
+			return nil, err
+		}
 		rec := obs.NewRecorder()
 		start := time.Now()
 		sol, serr := eng.Solve(ctx, p, core.SolveOptions{TimeLimit: budget, Seed: 1, Probe: rec})

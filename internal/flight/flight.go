@@ -29,8 +29,9 @@ import (
 // and by callers that pass a non-positive size to NewRecorder.
 const DefaultSize = 128
 
-// Stage is one fallback-chain stage attempt inside a solve (converted
-// from guard.StageTiming at the recording boundary).
+// Stage is one meta-engine member's part in a solve (a "portfolio" race
+// entry or a "fallback" chain stage), as the guard layer's stage log
+// records it.
 type Stage struct {
 	// Engine names the stage's member engine.
 	Engine string `json:"engine"`

@@ -128,10 +128,10 @@ func TestChaosDelayHonorsContext(t *testing.T) {
 // escapes to the caller.
 func TestChaosFallbackEverySlotPanics(t *testing.T) {
 	p := testProblem(t)
-	f := NewFallback(
-		FallbackMember{Engine: NewChaos(goodEngine("inner"), ChaosConfig{Script: []Fault{FaultPanic}})},
-		FallbackMember{Engine: NewChaos(goodEngine("inner"), ChaosConfig{Script: []Fault{FaultPanic}})},
-		FallbackMember{Engine: NewChaos(goodEngine("inner"), ChaosConfig{Script: []Fault{FaultPanic, FaultNone}})},
+	f := composite(Sequence,
+		Member{Engine: NewChaos(goodEngine("inner"), ChaosConfig{Script: []Fault{FaultPanic}})},
+		Member{Engine: NewChaos(goodEngine("inner"), ChaosConfig{Script: []Fault{FaultPanic}})},
+		Member{Engine: NewChaos(goodEngine("inner"), ChaosConfig{Script: []Fault{FaultPanic, FaultNone}})},
 	)
 
 	// Solve 1: all three slots panic. The process must survive and the

@@ -11,6 +11,19 @@ import (
 	"repro/internal/obs"
 )
 
+// composite builds a meta-engine on the given schedule.
+func composite(s Schedule, members ...Member) *Composite {
+	return &Composite{Schedule: s, Members: members}
+}
+
+// bothSchedules runs fn as one subtest per schedule, named after the
+// schedule's engine ("portfolio", "fallback").
+func bothSchedules(t *testing.T, fn func(t *testing.T, s Schedule)) {
+	for _, s := range []Schedule{Race, Sequence} {
+		t.Run((&Composite{Schedule: s}).Name(), func(t *testing.T) { fn(t, s) })
+	}
+}
+
 func goodEngine(name string) core.Engine {
 	return &stubEngine{name: name, fn: func(_ context.Context, p *core.Problem, _ core.SolveOptions) (*core.Solution, error) {
 		return validSolution(p), nil
@@ -37,10 +50,10 @@ func erroringEngine(name string, err error) core.Engine {
 
 func TestFallbackAdvancesPastFaults(t *testing.T) {
 	p := testProblem(t)
-	f := NewFallback(
-		FallbackMember{Engine: panicEngine("boom")},
-		FallbackMember{Engine: lyingEngine("liar")},
-		FallbackMember{Engine: goodEngine("good")},
+	f := composite(Sequence,
+		Member{Engine: panicEngine("boom")},
+		Member{Engine: lyingEngine("liar")},
+		Member{Engine: goodEngine("good")},
 	)
 	sol, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: 5 * time.Second})
 	if err != nil {
@@ -61,9 +74,9 @@ func TestFallbackTrustedInfeasibleShortCircuits(t *testing.T) {
 		called = true
 		return validSolution(p), nil
 	}}
-	f := NewFallback(
-		FallbackMember{Engine: erroringEngine("prover", core.ErrInfeasible), TrustInfeasible: true},
-		FallbackMember{Engine: later},
+	f := composite(Sequence,
+		Member{Engine: erroringEngine("prover", core.ErrInfeasible), TrustInfeasible: true},
+		Member{Engine: later},
 	)
 	_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
 	if !errors.Is(err, core.ErrInfeasible) {
@@ -76,9 +89,9 @@ func TestFallbackTrustedInfeasibleShortCircuits(t *testing.T) {
 
 func TestFallbackUntrustedInfeasibleAdvances(t *testing.T) {
 	p := testProblem(t)
-	f := NewFallback(
-		FallbackMember{Engine: erroringEngine("heuristic", core.ErrInfeasible)},
-		FallbackMember{Engine: goodEngine("good")},
+	f := composite(Sequence,
+		Member{Engine: erroringEngine("heuristic", core.ErrInfeasible)},
+		Member{Engine: goodEngine("good")},
 	)
 	sol, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
 	if err != nil {
@@ -91,9 +104,9 @@ func TestFallbackUntrustedInfeasibleAdvances(t *testing.T) {
 
 func TestFallbackBudgetExhaustionIsNoSolution(t *testing.T) {
 	p := testProblem(t)
-	f := NewFallback(
-		FallbackMember{Engine: erroringEngine("a", core.ErrNoSolution)},
-		FallbackMember{Engine: erroringEngine("b", fmt.Errorf("slow: %w", context.DeadlineExceeded))},
+	f := composite(Sequence,
+		Member{Engine: erroringEngine("a", core.ErrNoSolution)},
+		Member{Engine: erroringEngine("b", fmt.Errorf("slow: %w", context.DeadlineExceeded))},
 	)
 	_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
 	if !errors.Is(err, core.ErrNoSolution) {
@@ -107,9 +120,9 @@ func TestFallbackBudgetExhaustionIsNoSolution(t *testing.T) {
 
 func TestFallbackAllHardFaults(t *testing.T) {
 	p := testProblem(t)
-	f := NewFallback(
-		FallbackMember{Engine: panicEngine("boom")},
-		FallbackMember{Engine: lyingEngine("liar")},
+	f := composite(Sequence,
+		Member{Engine: panicEngine("boom")},
+		Member{Engine: lyingEngine("liar")},
 	)
 	_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
 	if err == nil {
@@ -137,79 +150,87 @@ func TestFallbackAllHardFaults(t *testing.T) {
 // must not satisfy errors.Is for the budget-class sentinels the chain
 // deliberately advanced past, or the server would cache and serve the
 // claim as definitive "infeasible" — and the fallback engine's own
-// breaker would score the total failure as a success.
+// breaker would score the total failure as a success. A race over the
+// same members must answer the same way.
 func TestFallbackHardFaultDoesNotLeakStageSentinels(t *testing.T) {
-	p := testProblem(t)
-	f := NewFallback(
-		FallbackMember{Engine: erroringEngine("heuristic", core.ErrInfeasible)},
-		FallbackMember{Engine: erroringEngine("slow", fmt.Errorf("slow: %w", context.DeadlineExceeded))},
-		FallbackMember{Engine: erroringEngine("dry", core.ErrNoSolution)},
-		FallbackMember{Engine: panicEngine("boom")},
-	)
-	_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: 5 * time.Second})
-	if err == nil {
-		t.Fatal("faulty chain returned nil error")
-	}
-	for sentinel, name := range map[error]string{
-		core.ErrInfeasible:       "ErrInfeasible",
-		core.ErrNoSolution:       "ErrNoSolution",
-		context.DeadlineExceeded: "DeadlineExceeded",
-		context.Canceled:         "Canceled",
-	} {
-		if errors.Is(err, sentinel) {
-			t.Errorf("hard-fault error leaks stage sentinel %s: %v", name, err)
+	bothSchedules(t, func(t *testing.T, s Schedule) {
+		p := testProblem(t)
+		f := composite(s,
+			Member{Engine: erroringEngine("heuristic", core.ErrInfeasible)},
+			Member{Engine: erroringEngine("slow", fmt.Errorf("slow: %w", context.DeadlineExceeded))},
+			Member{Engine: erroringEngine("dry", core.ErrNoSolution)},
+			Member{Engine: panicEngine("boom")},
+		)
+		_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: 5 * time.Second})
+		if err == nil {
+			t.Fatal("faulty chain returned nil error")
 		}
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Errorf("joined error does not expose the PanicError: %v", err)
-	}
-	if got := BreakerOutcomeOf(err); got != BreakerFailure {
-		t.Errorf("BreakerOutcomeOf = %v, want BreakerFailure", got)
-	}
+		for sentinel, name := range map[error]string{
+			core.ErrInfeasible:       "ErrInfeasible",
+			core.ErrNoSolution:       "ErrNoSolution",
+			context.DeadlineExceeded: "DeadlineExceeded",
+			context.Canceled:         "Canceled",
+		} {
+			if errors.Is(err, sentinel) {
+				t.Errorf("hard-fault error leaks stage sentinel %s: %v", name, err)
+			}
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Errorf("joined error does not expose the PanicError: %v", err)
+		}
+		if got := BreakerOutcomeOf(err); got != BreakerFailure {
+			t.Errorf("BreakerOutcomeOf = %v, want BreakerFailure", got)
+		}
+	})
 }
 
 // TestFallbackAllBreakersOpen: when every member is skipped because its
-// breaker is open, no engine ran at all, so the chain must report the
-// retryable ErrBreakersOpen — not ErrNoSolution, which the daemon would
-// serve as a definitive "budget exhausted" answer.
+// breaker is open, no engine ran at all, so the chain (and the race)
+// must report the retryable ErrBreakersOpen — not ErrNoSolution, which
+// the daemon would serve as a definitive "budget exhausted" answer.
 func TestFallbackAllBreakersOpen(t *testing.T) {
-	p := testProblem(t)
-	clk := newFakeClock()
-	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour, Clock: clk.Now})
-	f := &Fallback{
-		Members: []FallbackMember{
-			{Engine: panicEngine("boom-a")},
-			{Engine: panicEngine("boom-b")},
-		},
-		Breakers: set,
-	}
-	// First solve trips both breakers (each member panics once).
-	if _, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second}); err == nil {
-		t.Fatal("all-panicking chain returned nil error")
-	}
-	// Second solve: every member is skipped, nothing runs.
-	_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
-	if !errors.Is(err, ErrBreakersOpen) {
-		t.Fatalf("want ErrBreakersOpen, got %v", err)
-	}
-	if errors.Is(err, core.ErrNoSolution) {
-		t.Errorf("breaker-skip outcome masquerades as ErrNoSolution: %v", err)
-	}
-	if got := BreakerOutcomeOf(err); got != BreakerNeutral {
-		t.Errorf("BreakerOutcomeOf = %v, want BreakerNeutral", got)
-	}
+	bothSchedules(t, func(t *testing.T, s Schedule) {
+		p := testProblem(t)
+		clk := newFakeClock()
+		set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour, Clock: clk.Now})
+		f := &Composite{
+			Schedule: s,
+			Members: []Member{
+				{Engine: panicEngine("boom-a")},
+				{Engine: panicEngine("boom-b")},
+			},
+			Breakers: set,
+		}
+		// First solve trips both breakers (each member panics once).
+		if _, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second}); err == nil {
+			t.Fatal("all-panicking chain returned nil error")
+		}
+		// Second solve: every member is skipped, nothing runs.
+		_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
+		if !errors.Is(err, ErrBreakersOpen) {
+			t.Fatalf("want ErrBreakersOpen, got %v", err)
+		}
+		if errors.Is(err, core.ErrNoSolution) {
+			t.Errorf("breaker-skip outcome masquerades as ErrNoSolution: %v", err)
+		}
+		if got := BreakerOutcomeOf(err); got != BreakerNeutral {
+			t.Errorf("BreakerOutcomeOf = %v, want BreakerNeutral", got)
+		}
+	})
 }
 
 func TestFallbackHonorsCancellation(t *testing.T) {
-	p := testProblem(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	f := NewFallback(FallbackMember{Engine: goodEngine("good")})
-	_, err := f.Solve(ctx, p, core.SolveOptions{TimeLimit: time.Second})
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled context not honored: %v", err)
-	}
+	bothSchedules(t, func(t *testing.T, s Schedule) {
+		p := testProblem(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		f := composite(s, Member{Engine: goodEngine("good")})
+		_, err := f.Solve(ctx, p, core.SolveOptions{TimeLimit: time.Second})
+		if err == nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-canceled context not honored: %v", err)
+		}
+	})
 }
 
 func TestFallbackSkipsOpenBreaker(t *testing.T) {
@@ -221,8 +242,9 @@ func TestFallbackSkipsOpenBreaker(t *testing.T) {
 		boomCalls++
 		panic("boom")
 	}}
-	f := &Fallback{
-		Members: []FallbackMember{
+	f := &Composite{
+		Schedule: Sequence,
+		Members: []Member{
 			{Engine: boom},
 			{Engine: goodEngine("good")},
 		},
@@ -252,9 +274,9 @@ func TestFallbackSkipsOpenBreaker(t *testing.T) {
 func TestFallbackProbeContract(t *testing.T) {
 	p := testProblem(t)
 	rec := obs.NewRecorder()
-	f := NewFallback(
-		FallbackMember{Engine: panicEngine("boom")},
-		FallbackMember{Engine: goodEngine("good")},
+	f := composite(Sequence,
+		Member{Engine: panicEngine("boom")},
+		Member{Engine: goodEngine("good")},
 	)
 	sol, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second, Probe: rec})
 	if err != nil {

@@ -1,18 +1,25 @@
 // Package guard is the fault-tolerance layer around the floorplanning
 // engines: it isolates solver panics, verifies every returned solution
-// before it may be accepted, chains engines into graceful-degradation
-// fallbacks, trips per-engine circuit breakers on repeated failures, and
-// injects deterministic faults for chaos testing.
+// before it may be accepted, runs engines together in one composite
+// meta-engine, trips per-engine circuit breakers on repeated failures,
+// and injects deterministic faults for chaos testing.
 //
 // Like the obs telemetry layer, guard wraps any core.Engine without
 // changing the Engine interface, so the serving stack composes it freely
-// around real solvers, portfolios and test stubs:
+// around real solvers and test stubs:
 //
 //	eng := guard.Wrap(&exact.Engine{})        // panics -> PanicError,
 //	                                          // invalid -> InvalidSolutionError
-//	fb  := guard.NewFallback(members...)      // milp-o -> milp-ho -> constructive
+//	fb  := &guard.Composite{Schedule: guard.Sequence, Members: members}
 //	brs := guard.NewBreakerSet(guard.BreakerConfig{})
 //	ch  := guard.NewChaos(eng, guard.ChaosConfig{Seed: 7, PanicWeight: 1})
+//
+// Composite is the only meta-engine. Its Race schedule is the
+// "portfolio" engine (members run concurrently, best answer wins); its
+// Sequence schedule is the "fallback" engine (members tried in order,
+// first validated solution wins). Both share the breaker gate, the
+// per-member stage log, the trust rule for infeasibility claims and the
+// final-error rule.
 //
 // The structured errors implement an ObsOutcome method, which
 // core.ObsOutcome recognizes, so recovered panics and rejected solutions
@@ -87,8 +94,7 @@ func RequestDigest(p *core.Problem) string {
 }
 
 // Protect runs fn, converting a panic into a *PanicError so one buggy
-// engine cannot take down the worker pool, a portfolio race, or a
-// fallback chain.
+// engine cannot take down the worker pool or a meta-engine.
 func Protect(engine string, p *core.Problem, fn func() (*core.Solution, error)) (sol *core.Solution, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -105,7 +111,7 @@ func Protect(engine string, p *core.Problem, fn func() (*core.Solution, error)) 
 }
 
 // CheckSolution verifies a solution before it may cross a trust boundary
-// (be accepted by a fallback stage, cached, or served): it must be
+// (be accepted by a meta-engine, cached, or served): it must be
 // non-nil, pass the full Solution.Validate oracle, and evaluate to a
 // finite, non-negative objective. A nil error means the solution is safe
 // to accept; otherwise the returned error is an *InvalidSolutionError.

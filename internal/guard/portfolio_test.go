@@ -1,4 +1,4 @@
-package portfolio
+package guard
 
 import (
 	"context"
@@ -9,13 +9,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/flight"
 	"repro/internal/grid"
 )
 
-// testProblem mirrors the core package's fixture: two regions and one net
+// raceProblem mirrors the core package's fixture: two regions and one net
 // on the Virtex-5 FX70T, small enough that solutions can be written by
 // hand and validated for real.
-func testProblem() *core.Problem {
+func raceProblem() *core.Problem {
 	return &core.Problem{
 		Device: device.VirtexFX70T(),
 		Regions: []core.Region{
@@ -83,12 +84,12 @@ func (s *stub) Solve(ctx context.Context, p *core.Problem, opts core.SolveOption
 }
 
 func TestPortfolioPicksBestObjective(t *testing.T) {
-	p := testProblem()
+	p := raceProblem()
 	near, far := nearSolution(), farSolution()
 	if near.Objective(p) >= far.Objective(p) {
 		t.Fatalf("fixture broken: near objective %v !< far objective %v", near.Objective(p), far.Objective(p))
 	}
-	pf := &Portfolio{Members: []Member{
+	pf := &Composite{Members: []Member{
 		{Engine: &stub{name: "worse", sol: far}},
 		{Engine: &stub{name: "better", sol: near, delay: 20 * time.Millisecond}},
 	}}
@@ -105,11 +106,11 @@ func TestPortfolioPicksBestObjective(t *testing.T) {
 }
 
 func TestPortfolioProvenWinnerCancelsLosers(t *testing.T) {
-	p := testProblem()
+	p := raceProblem()
 	proven := nearSolution()
 	proven.Proven = true
 	loserCanceled := make(chan struct{})
-	pf := &Portfolio{Members: []Member{
+	pf := &Composite{Members: []Member{
 		{Engine: &stub{name: "fast", sol: proven}},
 		{Engine: &stub{name: "slow", sol: farSolution(), delay: time.Minute, canceled: loserCanceled}},
 	}}
@@ -132,8 +133,8 @@ func TestPortfolioProvenWinnerCancelsLosers(t *testing.T) {
 }
 
 func TestPortfolioTrustedInfeasibleBeatsBudgetFailure(t *testing.T) {
-	p := testProblem()
-	pf := &Portfolio{Members: []Member{
+	p := raceProblem()
+	pf := &Composite{Members: []Member{
 		{Engine: &stub{name: "exactish", err: core.ErrInfeasible}, TrustInfeasible: true},
 		{Engine: &stub{name: "heur", err: core.ErrNoSolution}},
 	}}
@@ -144,8 +145,8 @@ func TestPortfolioTrustedInfeasibleBeatsBudgetFailure(t *testing.T) {
 }
 
 func TestPortfolioUntrustedInfeasibleDegrades(t *testing.T) {
-	p := testProblem()
-	pf := &Portfolio{Members: []Member{
+	p := raceProblem()
+	pf := &Composite{Members: []Member{
 		{Engine: &stub{name: "heur", err: core.ErrInfeasible}},
 	}}
 	_, err := pf.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
@@ -158,8 +159,8 @@ func TestPortfolioUntrustedInfeasibleDegrades(t *testing.T) {
 }
 
 func TestPortfolioInfeasibleBeatsOtherErrors(t *testing.T) {
-	p := testProblem()
-	pf := &Portfolio{Members: []Member{
+	p := raceProblem()
+	pf := &Composite{Members: []Member{
 		{Engine: &stub{name: "broken", err: errors.New("disk on fire")}},
 		{Engine: &stub{name: "exactish", err: core.ErrInfeasible, delay: 10 * time.Millisecond}, TrustInfeasible: true},
 	}}
@@ -170,8 +171,8 @@ func TestPortfolioInfeasibleBeatsOtherErrors(t *testing.T) {
 }
 
 func TestPortfolioReportsMemberErrors(t *testing.T) {
-	p := testProblem()
-	pf := &Portfolio{Members: []Member{
+	p := raceProblem()
+	pf := &Composite{Members: []Member{
 		{Engine: &stub{name: "broken", err: errors.New("disk on fire")}},
 	}}
 	_, err := pf.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
@@ -181,7 +182,7 @@ func TestPortfolioReportsMemberErrors(t *testing.T) {
 }
 
 func TestPortfolioRejectsInvalidSolution(t *testing.T) {
-	p := testProblem()
+	p := raceProblem()
 	overlapping := &core.Solution{
 		Regions: []grid.Rect{
 			{X: 4, Y: 0, W: 6, H: 5},
@@ -189,7 +190,7 @@ func TestPortfolioRejectsInvalidSolution(t *testing.T) {
 		},
 		FC: []core.FCPlacement{},
 	}
-	pf := &Portfolio{Members: []Member{
+	pf := &Composite{Members: []Member{
 		{Engine: &stub{name: "cheater", sol: overlapping}},
 		{Engine: &stub{name: "honest", sol: nearSolution(), delay: 20 * time.Millisecond}},
 	}}
@@ -202,52 +203,76 @@ func TestPortfolioRejectsInvalidSolution(t *testing.T) {
 	}
 }
 
+// TestPortfolioStats checks the per-member record a race leaves in the
+// stage log: one entry per member, the winner's without an error, the
+// loser's with one.
 func TestPortfolioStats(t *testing.T) {
-	p := testProblem()
-	st := NewStats()
+	p := raceProblem()
 	proven := nearSolution()
 	proven.Proven = true
-	pf := &Portfolio{
+	pf := &Composite{
 		Members: []Member{
 			{Engine: &stub{name: "winner", sol: proven}},
 			{Engine: &stub{name: "loser", err: core.ErrNoSolution}},
 		},
-		Stats: st,
 	}
-	if _, err := pf.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second}); err != nil {
+	ctx, log := WithStageLog(context.Background())
+	sol, err := pf.Solve(ctx, p, core.SolveOptions{TimeLimit: time.Second})
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := st.Snapshot()
-	byName := make(map[string]MemberStats, len(snap))
-	for _, m := range snap {
-		byName[m.Name] = m
+	byName := make(map[string][]flight.Stage)
+	for _, st := range log.Stages() {
+		byName[st.Engine] = append(byName[st.Engine], st)
 	}
 	w, l := byName["winner"], byName["loser"]
-	if w.Races != 1 || w.Wins != 1 || w.Failures != 0 {
-		t.Fatalf("winner stats = %+v, want 1 race, 1 win", w)
+	if len(w) != 1 || sol.Engine != "portfolio(winner)" || w[0].Err != "" {
+		t.Fatalf("winner stages = %+v (solution %q), want 1 race, 1 win", w, sol.Engine)
 	}
-	if l.Races != 1 || l.Wins != 0 || l.Failures != 1 {
-		t.Fatalf("loser stats = %+v, want 1 race, 1 failure", l)
-	}
-}
-
-func TestDefaultMembersTrustOnlyFullSpaceEngines(t *testing.T) {
-	// Only the exact engine searches the full space among the defaults;
-	// milp-ho's MILP is restricted to its seed's sequence pair, so
-	// trusting its infeasibility verdicts would turn heuristic give-ups
-	// into false proofs.
-	for _, m := range DefaultMembers() {
-		want := m.Engine.Name() == "exact"
-		if m.TrustInfeasible != want {
-			t.Errorf("member %s: TrustInfeasible = %v, want %v", m.Engine.Name(), m.TrustInfeasible, want)
-		}
+	if len(l) != 1 || l[0].Err == "" {
+		t.Fatalf("loser stages = %+v, want 1 race, 1 failure", l)
 	}
 }
 
+// TestPortfolioNilStatsSafe: a race without a stage log on its context
+// runs unchanged.
 func TestPortfolioNilStatsSafe(t *testing.T) {
-	p := testProblem()
-	pf := &Portfolio{Members: []Member{{Engine: &stub{name: "only", sol: nearSolution()}}}}
+	p := raceProblem()
+	pf := &Composite{Members: []Member{{Engine: &stub{name: "only", sol: nearSolution()}}}}
 	if _, err := pf.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPortfolioLogsAbandonedStraggler: a member that ignores its
+// deadline is abandoned once the grace window expires; the race still
+// returns its best answer promptly and logs the straggler's stage.
+func TestPortfolioLogsAbandonedStraggler(t *testing.T) {
+	p := raceProblem()
+	release := make(chan struct{})
+	defer close(release)
+	deaf := &stubEngine{name: "deaf", fn: func(context.Context, *core.Problem, core.SolveOptions) (*core.Solution, error) {
+		<-release
+		return nil, core.ErrNoSolution
+	}}
+	pf := &Composite{Members: []Member{
+		{Engine: &stub{name: "quick", sol: nearSolution()}},
+		{Engine: deaf},
+	}}
+	ctx, log := WithStageLog(context.Background())
+	start := time.Now()
+	sol, err := pf.Solve(ctx, p, core.SolveOptions{TimeLimit: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("race waited %s for a straggler", elapsed)
+	}
+	if sol.Engine != "portfolio(quick)" {
+		t.Fatalf("winner = %q, want portfolio(quick)", sol.Engine)
+	}
+	stages := log.Stages()
+	if len(stages) != 2 || stages[1].Engine != "deaf" || stages[1].Outcome != "no_solution" || !strings.Contains(stages[1].Err, "abandoned") {
+		t.Fatalf("stages = %+v, want the deaf member logged as abandoned", stages)
 	}
 }

@@ -3,54 +3,45 @@ package guard
 import (
 	"context"
 	"sync"
-	"time"
+
+	"repro/internal/flight"
 )
 
-// StageOutcomeSkipped labels a fallback stage that never ran because its
+// StageOutcomeSkipped labels a member that never ran because its
 // engine's circuit breaker was open. Every other stage outcome is one of
 // the obs outcome labels ("solved", "no_solution", "panic", ...).
 const StageOutcomeSkipped = "skipped"
 
-// StageTiming records one fallback-chain stage attempt: which member
-// engine ran, how it ended, and how long it took. The flight recorder
-// stores these per solve so /debug/solves and SIGUSR1 dumps can show
-// where a degraded solve spent its budget.
-type StageTiming struct {
-	// Engine names the stage's member engine.
-	Engine string
-	// Outcome is the stage's obs outcome label, or StageOutcomeSkipped.
-	Outcome string
-	// Elapsed is the stage's wall-clock (zero when skipped).
-	Elapsed time.Duration
-	// Err is the stage's error text, when it failed.
-	Err string
-}
-
-// StageLog collects stage timings across one solve. Safe for concurrent
-// use (a meta-engine may be raced inside a portfolio).
+// StageLog collects a solve's meta-engine stages: one flight.Stage per
+// member, saying which engine ran, how it ended and how long it took, so
+// /debug/solves and SIGUSR1 dumps show where the budget went. Safe for
+// concurrent use (meta-engines may nest).
 type StageLog struct {
 	mu     sync.Mutex
-	stages []StageTiming
+	stages []flight.Stage
 }
 
-// add appends one stage timing.
-func (l *StageLog) add(st StageTiming) {
+// add appends one stage; a nil log discards it.
+func (l *StageLog) add(st flight.Stage) {
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
 	l.stages = append(l.stages, st)
 	l.mu.Unlock()
 }
 
-// Stages returns the collected timings in emission order.
-func (l *StageLog) Stages() []StageTiming {
+// Stages returns the collected stages in emission order.
+func (l *StageLog) Stages() []flight.Stage {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]StageTiming(nil), l.stages...)
+	return append([]flight.Stage(nil), l.stages...)
 }
 
 type stageLogKey struct{}
 
-// WithStageLog returns a context carrying a stage-timing collector and
-// the collector itself. If ctx already carries one, it is reused — so a
+// WithStageLog returns a context carrying a stage collector and the
+// collector itself. If ctx already carries one, it is reused — so a
 // serving layer that installs the log before dispatch and a facade that
 // installs it inside both observe the same stages.
 func WithStageLog(ctx context.Context) (context.Context, *StageLog) {
@@ -61,7 +52,7 @@ func WithStageLog(ctx context.Context) (context.Context, *StageLog) {
 	return context.WithValue(ctx, stageLogKey{}, l), l
 }
 
-// StageLogFrom returns the context's stage-timing collector, or nil.
+// StageLogFrom returns the context's stage collector, or nil.
 func StageLogFrom(ctx context.Context) *StageLog {
 	l, _ := ctx.Value(stageLogKey{}).(*StageLog)
 	return l

@@ -10,10 +10,10 @@ import (
 
 func TestFallbackRecordsStageTimings(t *testing.T) {
 	p := testProblem(t)
-	f := NewFallback(
-		FallbackMember{Engine: panicEngine("boom")},
-		FallbackMember{Engine: lyingEngine("liar")},
-		FallbackMember{Engine: goodEngine("good")},
+	f := composite(Sequence,
+		Member{Engine: panicEngine("boom")},
+		Member{Engine: lyingEngine("liar")},
+		Member{Engine: goodEngine("good")},
 	)
 	ctx, log := WithStageLog(context.Background())
 	if _, err := f.Solve(ctx, p, core.SolveOptions{TimeLimit: 5 * time.Second}); err != nil {
@@ -32,8 +32,8 @@ func TestFallbackRecordsStageTimings(t *testing.T) {
 		if stages[i].Engine != w.engine || stages[i].Outcome != w.outcome {
 			t.Errorf("stage %d = %s/%s, want %s/%s", i, stages[i].Engine, stages[i].Outcome, w.engine, w.outcome)
 		}
-		if stages[i].Elapsed < 0 {
-			t.Errorf("stage %d has negative elapsed %v", i, stages[i].Elapsed)
+		if stages[i].ElapsedMS < 0 {
+			t.Errorf("stage %d has negative elapsed %v", i, stages[i].ElapsedMS)
 		}
 	}
 	// Failed stages carry their error text; the winner does not.
@@ -50,9 +50,9 @@ func TestFallbackRecordsSkippedStages(t *testing.T) {
 	brs := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
 	// Trip the boom breaker.
 	brs.For("boom").Record(BreakerFailure)
-	f := NewFallback(
-		FallbackMember{Engine: panicEngine("boom")},
-		FallbackMember{Engine: goodEngine("good")},
+	f := composite(Sequence,
+		Member{Engine: panicEngine("boom")},
+		Member{Engine: goodEngine("good")},
 	)
 	f.Breakers = brs
 	ctx, log := WithStageLog(context.Background())
@@ -66,8 +66,8 @@ func TestFallbackRecordsSkippedStages(t *testing.T) {
 	if stages[0].Engine != "boom" || stages[0].Outcome != StageOutcomeSkipped {
 		t.Errorf("stage 0 = %s/%s, want boom/%s", stages[0].Engine, stages[0].Outcome, StageOutcomeSkipped)
 	}
-	if stages[0].Elapsed != 0 {
-		t.Errorf("skipped stage has elapsed %v, want 0", stages[0].Elapsed)
+	if stages[0].ElapsedMS != 0 {
+		t.Errorf("skipped stage has elapsed %v, want 0", stages[0].ElapsedMS)
 	}
 	if stages[1].Engine != "good" || stages[1].Outcome != "solved" {
 		t.Errorf("stage 1 = %s/%s, want good/solved", stages[1].Engine, stages[1].Outcome)
@@ -90,7 +90,7 @@ func TestWithStageLogReusesExisting(t *testing.T) {
 
 func TestStageLogWithoutCollectorIsHarmless(t *testing.T) {
 	p := testProblem(t)
-	f := NewFallback(FallbackMember{Engine: goodEngine("good")})
+	f := composite(Sequence, Member{Engine: goodEngine("good")})
 	// No WithStageLog on the context: the solve must run unchanged.
 	if _, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: 5 * time.Second}); err != nil {
 		t.Fatalf("fallback failed without a stage log: %v", err)

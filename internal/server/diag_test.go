@@ -122,6 +122,15 @@ func TestPanicProducesExactlyOneBundle(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("bundles on disk = %v, want exactly one", paths)
 	}
+	// The bundle file becomes visible just before the bundler counts the
+	// capture: wait for the counter to be exposed before reading it.
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(scrapeMetrics(t, ts), "\nfloorpland_diag_bundles_total{trigger=\"panic\"} ") {
+		if time.Now().After(deadline) {
+			t.Fatal(`diag_bundles_total{trigger="panic"} not exposed 10s after the bundle appeared`)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 	if n := scrapeCounter(t, ts.Client(), ts.URL, `floorpland_diag_bundles_total{trigger="panic"}`); n != 1 {
 		t.Fatalf(`diag_bundles_total{trigger="panic"} = %d, want 1`, n)
 	}

@@ -5,7 +5,6 @@ import (
 
 	floorplanner "repro"
 	"repro/internal/core"
-	"repro/internal/portfolio"
 )
 
 // defaultSolve dispatches to the public floorplanner entry point, so the
@@ -37,9 +36,3 @@ func defaultFallbackSolve(ctx context.Context, p *core.Problem, chain []string, 
 
 // defaultEngineNames lists the engines the default solver accepts.
 func defaultEngineNames() []string { return floorplanner.EngineNames() }
-
-// defaultPortfolioStats exposes the process-wide portfolio race counters
-// (per-member races, wins, failures, cumulative latency) that /metrics
-// renders; portfolio engines built through the floorplanner facade all
-// record into this shared recorder.
-func defaultPortfolioStats() []portfolio.MemberStats { return portfolio.Shared().Snapshot() }

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/flight"
 	"repro/internal/guard"
 	"repro/internal/obs/hist"
-	"repro/internal/portfolio"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
@@ -90,9 +90,6 @@ type metrics struct {
 	// breakerStats, when set, supplies the per-engine circuit breaker
 	// snapshots for rendering.
 	breakerStats func() []guard.BreakerSnapshot
-	// portfolioStats, when set, supplies the portfolio engine's
-	// per-member race counters for rendering.
-	portfolioStats func() []portfolio.MemberStats
 	// candCacheStats, when set, supplies the process-wide candidate-cache
 	// hit/miss counters (core.CandCacheStats in production).
 	candCacheStats func() (hits, misses int64)
@@ -116,11 +113,21 @@ type metrics struct {
 
 	mu        sync.Mutex
 	perEngine map[string]*engineDist
+	// members holds the portfolio engine's per-member race counters
+	// (guarded by mu).
+	members map[string]*memberStats
+}
+
+// memberStats is one portfolio member's cumulative race record.
+type memberStats struct {
+	races, wins, failures int64
+	seconds               float64
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		perEngine:    map[string]*engineDist{},
+		members:      map[string]*memberStats{},
 		queueDepth:   func() int { return 0 },
 		sessionsLive: func() int { return 0 },
 		version:      "dev",
@@ -138,6 +145,33 @@ func (m *metrics) dist(engine string) *engineDist {
 		m.perEngine[engine] = d
 	}
 	return d
+}
+
+// recordRace tallies one portfolio solve's stage log: every member that
+// ran counts a race (and a failure when it ended in error), and the
+// member named in the winning solution's label ("portfolio(exact)")
+// counts a win.
+func (m *metrics) recordRace(stages []flight.Stage, winner string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, st := range stages {
+		if st.Outcome == guard.StageOutcomeSkipped {
+			continue
+		}
+		ms := m.members[st.Engine]
+		if ms == nil {
+			ms = &memberStats{}
+			m.members[st.Engine] = ms
+		}
+		ms.races++
+		ms.seconds += st.ElapsedMS / 1000
+		if st.Err != "" {
+			ms.failures++
+		}
+		if winner == "portfolio("+st.Engine+")" {
+			ms.wins++
+		}
+	}
 }
 
 // observeLatency folds one solve's wall-clock into the engine's latency
@@ -392,24 +426,31 @@ func (m *metrics) render() string {
 		}
 	}
 
-	if m.portfolioStats != nil {
-		if stats := m.portfolioStats(); len(stats) > 0 {
-			b.WriteString("# HELP floorpland_portfolio_member_races_total Portfolio races each member engine ran in.\n# TYPE floorpland_portfolio_member_races_total counter\n")
-			for _, ms := range stats {
-				fmt.Fprintf(&b, "floorpland_portfolio_member_races_total{member=%q} %d\n", ms.Name, ms.Races)
-			}
-			b.WriteString("# HELP floorpland_portfolio_member_wins_total Portfolio races each member engine won.\n# TYPE floorpland_portfolio_member_wins_total counter\n")
-			for _, ms := range stats {
-				fmt.Fprintf(&b, "floorpland_portfolio_member_wins_total{member=%q} %d\n", ms.Name, ms.Wins)
-			}
-			b.WriteString("# HELP floorpland_portfolio_member_failures_total Portfolio member runs that returned an error.\n# TYPE floorpland_portfolio_member_failures_total counter\n")
-			for _, ms := range stats {
-				fmt.Fprintf(&b, "floorpland_portfolio_member_failures_total{member=%q} %d\n", ms.Name, ms.Failures)
-			}
-			b.WriteString("# HELP floorpland_portfolio_member_seconds_sum Cumulative portfolio member solve time.\n# TYPE floorpland_portfolio_member_seconds_sum counter\n")
-			for _, ms := range stats {
-				fmt.Fprintf(&b, "floorpland_portfolio_member_seconds_sum{member=%q} %g\n", ms.Name, ms.Total.Seconds())
-			}
+	m.mu.Lock()
+	names := make([]string, 0, len(m.members))
+	stats := make(map[string]memberStats, len(m.members))
+	for name, ms := range m.members {
+		names = append(names, name)
+		stats[name] = *ms
+	}
+	m.mu.Unlock()
+	if len(names) > 0 {
+		sort.Strings(names)
+		b.WriteString("# HELP floorpland_portfolio_member_races_total Portfolio races each member engine ran in.\n# TYPE floorpland_portfolio_member_races_total counter\n")
+		for _, name := range names {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_races_total{member=%q} %d\n", name, stats[name].races)
+		}
+		b.WriteString("# HELP floorpland_portfolio_member_wins_total Portfolio races each member engine won.\n# TYPE floorpland_portfolio_member_wins_total counter\n")
+		for _, name := range names {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_wins_total{member=%q} %d\n", name, stats[name].wins)
+		}
+		b.WriteString("# HELP floorpland_portfolio_member_failures_total Portfolio member runs that returned an error.\n# TYPE floorpland_portfolio_member_failures_total counter\n")
+		for _, name := range names {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_failures_total{member=%q} %d\n", name, stats[name].failures)
+		}
+		b.WriteString("# HELP floorpland_portfolio_member_seconds_sum Cumulative portfolio member solve time.\n# TYPE floorpland_portfolio_member_seconds_sum counter\n")
+		for _, name := range names {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_seconds_sum{member=%q} %g\n", name, stats[name].seconds)
 		}
 	}
 	return b.String()

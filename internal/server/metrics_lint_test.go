@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/flight"
 	"repro/internal/guard"
-	"repro/internal/portfolio"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
@@ -45,9 +45,7 @@ func populatedMetrics() *metrics {
 			},
 		}}
 	}
-	m.portfolioStats = func() []portfolio.MemberStats {
-		return []portfolio.MemberStats{{Name: "exact", Races: 1, Wins: 1, Total: time.Second}}
-	}
+	m.recordRace([]flight.Stage{{Engine: "exact", Outcome: "proven", ElapsedMS: 1000}}, "portfolio(exact)")
 	m.breakerStats = func() []guard.BreakerSnapshot {
 		return []guard.BreakerSnapshot{{Name: "exact", State: guard.BreakerOpen, Failures: 5, Trips: 1}}
 	}

@@ -273,7 +273,6 @@ func New(cfg Config) *Server {
 	s.metrics.eventStats = s.events.Stats
 	s.metrics.sloStatus = s.slos.Evaluate
 	s.metrics.queueDepth = s.pool.queueDepth
-	s.metrics.portfolioStats = defaultPortfolioStats
 	s.metrics.candCacheStats = core.CandCacheStats
 	s.metrics.version = cfg.Version
 	if cfg.BreakerThreshold > 0 {
@@ -596,7 +595,7 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 	frec.LabelDigest = labels.JoinDigest()
 	lprobe := diag.NewLabelProbe(rec)
 	opts.Probe = lprobe
-	// The stage log collects fallback-chain stage timings; the pool hands
+	// The stage log collects meta-engine member stages; the pool hands
 	// this ctx to the solve, so the guard layer's collector is ours.
 	ctx, stageLog := guard.WithStageLog(ctx)
 	run := func(ctx context.Context) (*core.Solution, error) {
@@ -702,13 +701,13 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 	if err != nil {
 		frec.Err = err.Error()
 	}
-	for _, st := range stageLog.Stages() {
-		frec.Stages = append(frec.Stages, flight.Stage{
-			Engine:    st.Engine,
-			Outcome:   st.Outcome,
-			ElapsedMS: durationMS(st.Elapsed),
-			Err:       st.Err,
-		})
+	frec.Stages = stageLog.Stages()
+	if engine == "portfolio" {
+		winner := ""
+		if sol != nil {
+			winner = sol.Engine
+		}
+		s.metrics.recordRace(frec.Stages, winner)
 	}
 	frec.Trace = rec.Trace()
 	seq := s.recordFlight(frec)

@@ -107,6 +107,30 @@ func TestSolveTelemetryOnMetrics(t *testing.T) {
 	}
 }
 
+// TestPortfolioMemberStatsOnMetrics asserts a real portfolio solve's
+// stage log reaches the per-member race counters: every default member
+// ran once, and the member named in the winning label won once.
+func TestPortfolioMemberStatsOnMetrics(t *testing.T) {
+	s := New(Config{Workers: 1, DefaultTimeLimit: 20 * time.Second})
+	t.Cleanup(func() { _ = s.Close(t.Context()) })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	code, resp := postSolve(t, ts.Client(), ts.URL, SolveRequest{Problem: testProblem(t, 1), Engine: "portfolio"})
+	if code != http.StatusOK || resp.Status != "ok" {
+		t.Fatalf("solve: HTTP %d status %q (%s)", code, resp.Status, resp.Error)
+	}
+	for _, member := range []string{"exact", "milp-ho", "constructive", "annealing", "tessellation"} {
+		if n := scrapeCounter(t, ts.Client(), ts.URL, `floorpland_portfolio_member_races_total{member="`+member+`"}`); n != 1 {
+			t.Errorf("member %s ran in %d races, want 1", member, n)
+		}
+	}
+	winner := strings.TrimSuffix(strings.TrimPrefix(resp.Engine, "portfolio("), ")")
+	if n := scrapeCounter(t, ts.Client(), ts.URL, `floorpland_portfolio_member_wins_total{member="`+winner+`"}`); n != 1 {
+		t.Errorf("winner %s (from %q) has %d wins, want 1", winner, resp.Engine, n)
+	}
+}
+
 // TestRequestIDPropagation asserts every response carries X-Request-ID
 // and that a caller-provided ID is echoed back rather than replaced.
 func TestRequestIDPropagation(t *testing.T) {
