@@ -120,6 +120,7 @@ type metrics struct {
 
 // memberStats is one portfolio member's cumulative race record.
 type memberStats struct {
+	name                  string
 	races, wins, failures int64
 	seconds               float64
 }
@@ -160,7 +161,7 @@ func (m *metrics) recordRace(stages []flight.Stage, winner string) {
 		}
 		ms := m.members[st.Engine]
 		if ms == nil {
-			ms = &memberStats{}
+			ms = &memberStats{name: st.Engine}
 			m.members[st.Engine] = ms
 		}
 		ms.races++
@@ -172,6 +173,18 @@ func (m *metrics) recordRace(stages []flight.Stage, winner string) {
 			ms.wins++
 		}
 	}
+}
+
+// memberSnapshot returns the portfolio member counters sorted by member.
+func (m *metrics) memberSnapshot() []memberStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]memberStats, 0, len(m.members))
+	for _, ms := range m.members {
+		out = append(out, *ms)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // observeLatency folds one solve's wall-clock into the engine's latency
@@ -426,31 +439,22 @@ func (m *metrics) render() string {
 		}
 	}
 
-	m.mu.Lock()
-	names := make([]string, 0, len(m.members))
-	stats := make(map[string]memberStats, len(m.members))
-	for name, ms := range m.members {
-		names = append(names, name)
-		stats[name] = *ms
-	}
-	m.mu.Unlock()
-	if len(names) > 0 {
-		sort.Strings(names)
+	if stats := m.memberSnapshot(); len(stats) > 0 {
 		b.WriteString("# HELP floorpland_portfolio_member_races_total Portfolio races each member engine ran in.\n# TYPE floorpland_portfolio_member_races_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&b, "floorpland_portfolio_member_races_total{member=%q} %d\n", name, stats[name].races)
+		for _, ms := range stats {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_races_total{member=%q} %d\n", ms.name, ms.races)
 		}
 		b.WriteString("# HELP floorpland_portfolio_member_wins_total Portfolio races each member engine won.\n# TYPE floorpland_portfolio_member_wins_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&b, "floorpland_portfolio_member_wins_total{member=%q} %d\n", name, stats[name].wins)
+		for _, ms := range stats {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_wins_total{member=%q} %d\n", ms.name, ms.wins)
 		}
 		b.WriteString("# HELP floorpland_portfolio_member_failures_total Portfolio member runs that returned an error.\n# TYPE floorpland_portfolio_member_failures_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&b, "floorpland_portfolio_member_failures_total{member=%q} %d\n", name, stats[name].failures)
+		for _, ms := range stats {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_failures_total{member=%q} %d\n", ms.name, ms.failures)
 		}
 		b.WriteString("# HELP floorpland_portfolio_member_seconds_sum Cumulative portfolio member solve time.\n# TYPE floorpland_portfolio_member_seconds_sum counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&b, "floorpland_portfolio_member_seconds_sum{member=%q} %g\n", name, stats[name].seconds)
+		for _, ms := range stats {
+			fmt.Fprintf(&b, "floorpland_portfolio_member_seconds_sum{member=%q} %g\n", ms.name, ms.seconds)
 		}
 	}
 	return b.String()
