@@ -4,8 +4,9 @@
 #   make build   compile every package and the CLI/daemon binaries into bin/
 #   make serve   run the floorplanning service daemon locally
 #   make test      plain test run (no race detector; faster)
-#   make bench     candidate-enumeration cache benchmarks (hit vs miss)
-#                  and branch-and-bound node cost (allocs/node)
+#   make bench     candidate-enumeration cache benchmarks (hit vs miss),
+#                  branch-and-bound node cost (allocs/node), the mask
+#                  overlap test and exact-search node cost (ns/node)
 #   make obs-bench telemetry + profile-label overhead benchmarks (bare vs
 #                  no-op vs recorder; labels off vs on)
 #   make diag-smoke boot floorpland with chaos + fault injection, force an
@@ -87,6 +88,8 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidate' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMILPNodes' -benchmem ./internal/milp
+	$(GO) test -run '^$$' -bench 'BenchmarkMaskOverlapsRect' -benchmem ./internal/grid
+	$(GO) test -run '^$$' -bench 'BenchmarkExactSearch' -benchmem ./internal/exact
 
 obs-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkObsOverhead|BenchmarkProfileLabelOverhead' -benchmem .

@@ -117,9 +117,14 @@ type searchState struct {
 	// is placed — the first depth where its FC bound applies.
 	groupReadyAt []int
 
-	mask          *grid.Mask
-	placed        []grid.Rect // per region (by region index)
-	slotCache     map[grid.Rect][]grid.Rect
+	mask   *grid.Mask
+	placed []grid.Rect // per region (by region index)
+	// placedIdx[ri] is the index in cands[ri] of placed[ri].
+	placedIdx []int
+	// slots[ri][idx] caches the FC slots of candidate idx of region ri
+	// (see slotsFor); rows and entries are filled on first use. Like mask
+	// it is per-worker state.
+	slots         [][][]grid.Rect
 	best          triple
 	bestSol       *core.Solution
 	nodes         int64
@@ -168,15 +173,17 @@ func (e *Engine) Solve(ctx context.Context, p *core.Problem, opts core.SolveOpti
 	}
 
 	st := &searchState{
-		p:        p,
-		dev:      p.Device,
-		mask:     grid.NewMask(p.Device.Width(), p.Device.Height()),
-		placed:   make([]grid.Rect, len(p.Regions)),
-		best:     triple{miss: math.Inf(1), waste: math.MaxInt64 / 4, wl: math.Inf(1)},
-		maxNodes: e.MaxNodes,
-		ctx:      ctx,
-		deadline: deadline,
-		sp:       sp,
+		p:         p,
+		dev:       p.Device,
+		mask:      grid.NewMask(p.Device.Width(), p.Device.Height()),
+		placed:    make([]grid.Rect, len(p.Regions)),
+		placedIdx: make([]int, len(p.Regions)),
+		slots:     make([][][]grid.Rect, len(p.Regions)),
+		best:      triple{miss: math.Inf(1), waste: math.MaxInt64 / 4, wl: math.Inf(1)},
+		maxNodes:  e.MaxNodes,
+		ctx:       ctx,
+		deadline:  deadline,
+		sp:        sp,
 	}
 	if st.maxNodes <= 0 {
 		st.maxNodes = 50_000_000
@@ -311,6 +318,8 @@ func (e *Engine) solveParallel(tmpl *searchState, workers int) (*core.Solution, 
 			groupReadyAt: tmpl.groupReadyAt,
 			mask:         grid.NewMask(tmpl.dev.Width(), tmpl.dev.Height()),
 			placed:       make([]grid.Rect, len(tmpl.p.Regions)),
+			placedIdx:    make([]int, len(tmpl.p.Regions)),
+			slots:        make([][][]grid.Rect, len(tmpl.p.Regions)),
 			best:         tmpl.best,
 			maxNodes:     tmpl.maxNodes,
 			deadline:     tmpl.deadline,
@@ -453,6 +462,7 @@ func (st *searchState) placeRegion(k, wasteSoFar int, wlSoFar float64) {
 		st.nodes++
 		st.mask.SetRect(cand.Rect)
 		st.placed[ri] = cand.Rect
+		st.placedIdx[ri] = idx
 
 		// Refine the bound with the wire length of the nets this placement
 		// completes and the relocation misses already forced by the partial
@@ -531,10 +541,10 @@ func (st *searchState) countFreeSlotsForGroup(g fcGroup, limit int) int {
 }
 
 // groupSlots enumerates the legal placements compatible with every region
-// of the group. Single-region groups use the per-rect cache; multi-region
-// sets additionally filter by the extra regions' placements.
+// of the group. Single-region groups use the per-candidate cache;
+// multi-region sets additionally filter by the extra regions' placements.
 func (st *searchState) groupSlots(g fcGroup) []grid.Rect {
-	base := st.slotsFor(st.placed[g.region()])
+	base := st.slotsFor(g.region())
 	if len(g.regions) == 1 {
 		return base
 	}
@@ -554,17 +564,22 @@ func (st *searchState) groupSlots(g fcGroup) []grid.Rect {
 	return out
 }
 
-// slotsFor enumerates the legal compatible placements of src (excluding
-// src itself, which is occupied by the region). Results are cached per
-// source rectangle: the same candidate rectangles recur across millions
-// of search nodes.
-func (st *searchState) slotsFor(src grid.Rect) []grid.Rect {
-	if st.slotCache == nil {
-		st.slotCache = make(map[grid.Rect][]grid.Rect)
+// slotsFor enumerates the legal compatible placements of region ri's
+// current rectangle (excluding that rectangle, which the region occupies).
+// Results are cached per candidate: the same candidates recur across
+// millions of search nodes. A filled entry is never nil, so nil marks one
+// not yet computed.
+func (st *searchState) slotsFor(ri int) []grid.Rect {
+	row := st.slots[ri]
+	if row == nil {
+		row = make([][]grid.Rect, len(st.cands[ri]))
+		st.slots[ri] = row
 	}
-	if cached, ok := st.slotCache[src]; ok {
+	idx := st.placedIdx[ri]
+	if cached := row[idx]; cached != nil {
 		return cached
 	}
+	src := st.placed[ri]
 	all := st.dev.CompatiblePlacements(src)
 	out := make([]grid.Rect, 0, len(all))
 	for _, r := range all {
@@ -572,7 +587,7 @@ func (st *searchState) slotsFor(src grid.Rect) []grid.Rect {
 			out = append(out, r)
 		}
 	}
-	st.slotCache[src] = out
+	row[idx] = out
 	return out
 }
 

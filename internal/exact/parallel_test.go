@@ -6,16 +6,53 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/sdr"
 )
 
+// multiRegionFCProblem ties one constraint-mode area to two regions
+// (AlsoCompatible) and adds a metric-mode area for the first region, so
+// the search exercises multi-region slot filtering and both FC modes.
+func multiRegionFCProblem() *core.Problem {
+	return &core.Problem{
+		Device: multiDevice(),
+		Regions: []core.Region{
+			{Name: "A", Req: device.Requirements{device.ClassCLB: 2, device.ClassDSP: 1}},
+			{Name: "B", Req: device.Requirements{device.ClassCLB: 2, device.ClassDSP: 1}},
+			{Name: "C", Req: device.Requirements{device.ClassCLB: 3}},
+		},
+		Nets: []core.Net{{A: 0, B: 1, Weight: 1}, {A: 1, B: 2, Weight: 1}},
+		FCAreas: []core.FCRequest{
+			{Region: 0, AlsoCompatible: []int{1}, Mode: core.RelocConstraint},
+			{Region: 0, Mode: core.RelocMetric, Weight: 1},
+		},
+		Objective: core.DefaultObjective(),
+	}
+}
+
+// metricFCProblem is SDR2 with every free-compatible area in metric
+// mode.
+func metricFCProblem() *core.Problem {
+	p := *sdr.SDR2()
+	p.FCAreas = append([]core.FCRequest(nil), p.FCAreas...)
+	for i := range p.FCAreas {
+		p.FCAreas[i].Mode = core.RelocMetric
+	}
+	return &p
+}
+
 // TestParallelMatchesSequential verifies the parallel exact engine
-// reaches the same lexicographic optimum as the sequential one.
+// reaches the same lexicographic optimum as the sequential one, on the
+// paper's designs and on designs with multi-region and metric-mode FC
+// areas, whose slot tables each worker builds for itself.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		p    *core.Problem
-	}{{"SDR", sdr.Problem()}, {"SDR2", sdr.SDR2()}, {"SDR3", sdr.SDR3()}} {
+	}{
+		{"SDR", sdr.Problem()}, {"SDR2", sdr.SDR2()}, {"SDR3", sdr.SDR3()},
+		{"multi-region FC", multiRegionFCProblem()}, {"metric FC", metricFCProblem()},
+	} {
 		seq, err := (&Engine{}).Solve(context.Background(), tc.p, core.SolveOptions{TimeLimit: 60 * time.Second})
 		if err != nil {
 			t.Fatalf("%s seq: %v", tc.name, err)

@@ -150,61 +150,84 @@ func TestTilesVisitsAll(t *testing.T) {
 	}
 }
 
+// maskTestWidths are the grid widths the mask tests draw from: random
+// widths up to 70 plus the widths around the 64-bit word boundaries,
+// where a row's last word is full, nearly empty or nearly full.
+func maskTestWidths(rng *rand.Rand) int {
+	boundary := []int{63, 64, 65, 127, 128, 129}
+	if rng.Intn(2) == 0 {
+		return boundary[rng.Intn(len(boundary))]
+	}
+	return 1 + rng.Intn(70)
+}
+
+// randomRectAround draws a rect that may lie inside the w x h grid,
+// straddle any of its edges (negative X/Y included) or miss it entirely.
+func randomRectAround(rng *rand.Rand, w, h int) Rect {
+	return Rect{
+		X: rng.Intn(w+20) - 10, Y: rng.Intn(h+6) - 3,
+		W: 1 + rng.Intn(w+10), H: 1 + rng.Intn(h+3),
+	}
+}
+
+// TestMaskMatchesRects drives a mask with interleaved SetRect, ClearRect
+// and OverlapsRect calls on rects that may reach outside the grid, and
+// checks every result and every tile against a plain bool grid.
 func TestMaskMatchesRects(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		w := 1 + rng.Intn(70)
+	for trial := 0; trial < 400; trial++ {
+		w := maskTestWidths(rng)
 		h := 1 + rng.Intn(12)
 		m := NewMask(w, h)
-		var placed []Rect
-		for i := 0; i < 5; i++ {
-			r := Rect{
-				X: rng.Intn(w), Y: rng.Intn(h),
-				W: 1 + rng.Intn(w), H: 1 + rng.Intn(h),
-			}
-			probe := Rect{
-				X: rng.Intn(w), Y: rng.Intn(h),
-				W: 1 + rng.Intn(8), H: 1 + rng.Intn(4),
-			}
-			wantOverlap := false
-			clippedProbe, okP := probe.Intersect(Rect{0, 0, w, h})
-			if okP {
-				for _, p := range placed {
-					if clippedProbe.Overlaps(p) {
-						wantOverlap = true
-						break
+		ref := make([][]bool, w)
+		for c := range ref {
+			ref[c] = make([]bool, h)
+		}
+		for op := 0; op < 12; op++ {
+			r := randomRectAround(rng, w, h)
+			switch rng.Intn(3) {
+			case 0:
+				want := false
+				for c := max(r.X, 0); c < min(r.X2(), w); c++ {
+					for row := max(r.Y, 0); row < min(r.Y2(), h); row++ {
+						want = want || ref[c][row]
 					}
 				}
-			}
-			if got := m.OverlapsRect(probe); got != wantOverlap {
-				t.Fatalf("trial %d: OverlapsRect(%v) = %v, want %v (placed %v)", trial, probe, got, wantOverlap, placed)
-			}
-			m.SetRect(r)
-			if cl, ok := r.Intersect(Rect{0, 0, w, h}); ok {
-				placed = append(placed, cl)
+				if got := m.OverlapsRect(r); got != want {
+					t.Fatalf("trial %d (%dx%d): OverlapsRect(%v) = %v, want %v", trial, w, h, r, got, want)
+				}
+			case 1:
+				m.SetRect(r)
+				r.Tiles(func(c, row int) {
+					if c >= 0 && c < w && row >= 0 && row < h {
+						ref[c][row] = true
+					}
+				})
+			case 2:
+				m.ClearRect(r)
+				r.Tiles(func(c, row int) {
+					if c >= 0 && c < w && row >= 0 && row < h {
+						ref[c][row] = false
+					}
+				})
 			}
 		}
-		// Count must equal union area, computed by brute force.
 		count := 0
 		for c := 0; c < w; c++ {
 			for row := 0; row < h; row++ {
-				covered := false
-				for _, p := range placed {
-					if p.Contains(c, row) {
-						covered = true
-						break
-					}
-				}
-				if covered {
+				if ref[c][row] {
 					count++
 				}
-				if got := m.Get(c, row); got != covered {
-					t.Fatalf("trial %d: Get(%d,%d) = %v, want %v", trial, c, row, got, covered)
+				if got := m.Get(c, row); got != ref[c][row] {
+					t.Fatalf("trial %d (%dx%d): Get(%d,%d) = %v, want %v", trial, w, h, c, row, got, ref[c][row])
 				}
 			}
 		}
 		if m.Count() != count {
-			t.Fatalf("trial %d: count = %d, want %d", trial, m.Count(), count)
+			t.Fatalf("trial %d (%dx%d): count = %d, want %d", trial, w, h, m.Count(), count)
+		}
+		if m.Any() != (count > 0) {
+			t.Fatalf("trial %d (%dx%d): Any = %v with %d set tiles", trial, w, h, m.Any(), count)
 		}
 	}
 }

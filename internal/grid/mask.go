@@ -6,10 +6,16 @@ import "math/bits"
 // workhorse of the combinatorial placement engines: overlap tests against
 // the set of already-placed rectangles reduce to word-wise AND.
 //
-// Bits are stored row-major: the tile (c, r) maps to bit r*W + c.
+// Bits are stored row-major with every row starting on a word boundary:
+// a row takes stride = ceil(W/64) words, and tile (c, r) is bit c&63 of
+// word r*stride + c>>6. The bits past column W-1 in a row's last word are
+// never set. Aligned rows give a rectangle the same column-span bits in
+// every row it covers, so rect operations compute those bits once per
+// word column and then step down the rows by stride.
 type Mask struct {
-	w, h  int
-	words []uint64
+	w, h   int
+	stride int // words per row
+	words  []uint64
 }
 
 // NewMask returns an empty mask for a w x h grid.
@@ -17,13 +23,13 @@ func NewMask(w, h int) *Mask {
 	if w <= 0 || h <= 0 {
 		panic("grid: non-positive mask dimensions")
 	}
-	n := (w*h + 63) / 64
-	return &Mask{w: w, h: h, words: make([]uint64, n)}
+	stride := (w + 63) >> 6
+	return &Mask{w: w, h: h, stride: stride, words: make([]uint64, stride*h)}
 }
 
 // Clone returns a deep copy of the mask.
 func (m *Mask) Clone() *Mask {
-	cp := &Mask{w: m.w, h: m.h, words: make([]uint64, len(m.words))}
+	cp := &Mask{w: m.w, h: m.h, stride: m.stride, words: make([]uint64, len(m.words))}
 	copy(cp.words, m.words)
 	return cp
 }
@@ -34,57 +40,98 @@ func (m *Mask) W() int { return m.w }
 // H returns the grid height.
 func (m *Mask) H() int { return m.h }
 
-func (m *Mask) bit(c, r int) (word, off int) {
-	idx := r*m.w + c
-	return idx >> 6, idx & 63
+func (m *Mask) bit(c, r int) (word int, bit uint64) {
+	return r*m.stride + c>>6, 1 << uint(c&63)
 }
 
 // Get reports whether tile (c, r) is set.
 func (m *Mask) Get(c, r int) bool {
-	w, off := m.bit(c, r)
-	return m.words[w]&(1<<uint(off)) != 0
+	w, b := m.bit(c, r)
+	return m.words[w]&b != 0
 }
 
 // Set marks tile (c, r).
 func (m *Mask) Set(c, r int) {
-	w, off := m.bit(c, r)
-	m.words[w] |= 1 << uint(off)
+	w, b := m.bit(c, r)
+	m.words[w] |= b
 }
 
 // Clear unmarks tile (c, r).
 func (m *Mask) Clear(c, r int) {
-	w, off := m.bit(c, r)
-	m.words[w] &^= 1 << uint(off)
+	w, b := m.bit(c, r)
+	m.words[w] &^= b
+}
+
+// span is a rect clipped to a mask: its columns [x0, x1) and the
+// half-open range [start, end) of the words of its rows.
+type span struct{ x0, x1, start, end int }
+
+// span clips rect to the grid; ok is false when nothing of rect lies
+// inside it.
+func (m *Mask) span(rect Rect) (s span, ok bool) {
+	x0, x1 := max(rect.X, 0), min(rect.X+rect.W, m.w)
+	y0, y1 := max(rect.Y, 0), min(rect.Y+rect.H, m.h)
+	return span{x0, x1, y0 * m.stride, y1 * m.stride}, x0 < x1 && y0 < y1
+}
+
+// bits returns the covered column bits of word column wc.
+func (s *span) bits(wc int) uint64 {
+	b := ^uint64(0)
+	if wc == s.x0>>6 {
+		b <<= uint(s.x0 & 63)
+	}
+	if wc == (s.x1-1)>>6 {
+		b &= ^uint64(0) >> uint(63-(s.x1-1)&63)
+	}
+	return b
 }
 
 // SetRect marks every tile covered by rect. Tiles outside the grid are
 // ignored.
 func (m *Mask) SetRect(rect Rect) {
-	m.forRowSpans(rect, func(word int, bitsMask uint64) bool {
-		m.words[word] |= bitsMask
-		return true
-	})
-}
-
-// ClearRect unmarks every tile covered by rect.
-func (m *Mask) ClearRect(rect Rect) {
-	m.forRowSpans(rect, func(word int, bitsMask uint64) bool {
-		m.words[word] &^= bitsMask
-		return true
-	})
-}
-
-// OverlapsRect reports whether any tile covered by rect is set.
-func (m *Mask) OverlapsRect(rect Rect) bool {
-	overlap := false
-	m.forRowSpans(rect, func(word int, bitsMask uint64) bool {
-		if m.words[word]&bitsMask != 0 {
-			overlap = true
-			return false
+	s, ok := m.span(rect)
+	if !ok {
+		return
+	}
+	for wc, last := s.x0>>6, (s.x1-1)>>6; wc <= last; wc++ {
+		b := s.bits(wc)
+		for i := s.start + wc; i < s.end; i += m.stride {
+			m.words[i] |= b
 		}
-		return true
-	})
-	return overlap
+	}
+}
+
+// ClearRect unmarks every tile covered by rect. Tiles outside the grid
+// are ignored.
+func (m *Mask) ClearRect(rect Rect) {
+	s, ok := m.span(rect)
+	if !ok {
+		return
+	}
+	for wc, last := s.x0>>6, (s.x1-1)>>6; wc <= last; wc++ {
+		b := s.bits(wc)
+		for i := s.start + wc; i < s.end; i += m.stride {
+			m.words[i] &^= b
+		}
+	}
+}
+
+// OverlapsRect reports whether any tile covered by rect is set. Tiles
+// outside the grid count as clear.
+func (m *Mask) OverlapsRect(rect Rect) bool {
+	s, ok := m.span(rect)
+	if !ok {
+		return false
+	}
+	for wc, last := s.x0>>6, (s.x1-1)>>6; wc <= last; wc++ {
+		b := s.bits(wc)
+		for i := s.start + wc; i < s.end; i += m.stride {
+			if m.words[i]&b != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Count returns the number of set tiles.
@@ -110,37 +157,5 @@ func (m *Mask) Any() bool {
 func (m *Mask) Reset() {
 	for i := range m.words {
 		m.words[i] = 0
-	}
-}
-
-// forRowSpans visits, word by word, the bit spans covered by rect clipped
-// to the grid, invoking fn with a word index and the bits of that word
-// belonging to the span. fn returns false to stop early.
-func (m *Mask) forRowSpans(rect Rect, fn func(word int, bitsMask uint64) bool) {
-	clipped, ok := rect.Intersect(Rect{X: 0, Y: 0, W: m.w, H: m.h})
-	if !ok {
-		return
-	}
-	for r := clipped.Y; r < clipped.Y2(); r++ {
-		start := r*m.w + clipped.X
-		end := start + clipped.W // exclusive
-		for start < end {
-			word := start >> 6
-			off := start & 63
-			n := 64 - off
-			if rem := end - start; rem < n {
-				n = rem
-			}
-			var span uint64
-			if n == 64 {
-				span = ^uint64(0)
-			} else {
-				span = ((uint64(1) << uint(n)) - 1) << uint(off)
-			}
-			if !fn(word, span) {
-				return
-			}
-			start += n
-		}
 	}
 }

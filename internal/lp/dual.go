@@ -18,35 +18,9 @@ import (
 // bounds — so the dual simplex restores primal feasibility directly,
 // typically in a few pivots per changed bound.
 func (s *simplex) warmSolve(wb *Basis, returnBasis bool) (Solution, bool) {
-	if len(wb.Basic) != s.m || len(wb.Stat) != s.n {
+	if !s.installBasis(wb) {
 		return Solution{}, false
 	}
-	// Install the snapshot: copy, never mutate the shared *Basis. The
-	// basic entries of x are set by factorize.
-	s.basis = s.basis[:s.m]
-	s.stat = s.stat[:s.n]
-	s.x = s.x[:s.n]
-	inBasis := s.inBasis[:s.n]
-	clear(inBasis)
-	for r, j := range wb.Basic {
-		if j < 0 || int(j) >= s.n || inBasis[j] {
-			return Solution{}, false
-		}
-		inBasis[j] = true
-		s.basis[r] = int(j)
-	}
-	for j := 0; j < s.n; j++ {
-		st := vstat(wb.Stat[j])
-		if (st == basic) != inBasis[j] {
-			return Solution{}, false
-		}
-		if st == basic {
-			s.stat[j] = basic
-			continue
-		}
-		s.stat[j], s.x[j] = s.nonbasicPoint(j, st)
-	}
-
 	if st := s.factorize(); st != StatusOptimal {
 		if st == StatusIterationLimit {
 			return Solution{Status: st, Iterations: s.iters}, true
@@ -87,6 +61,40 @@ func (s *simplex) warmSolve(wb *Basis, returnBasis bool) (Solution, bool) {
 	}
 }
 
+// installBasis makes the snapshot wb the current basis, placing each
+// nonbasic column at the bound its status names. It copies, never
+// mutating the shared *Basis; the basic entries of x are left to
+// factorize. It reports false when wb does not fit the model.
+func (s *simplex) installBasis(wb *Basis) bool {
+	if len(wb.Basic) != s.m || len(wb.Stat) != s.n {
+		return false
+	}
+	s.basis = s.basis[:s.m]
+	s.stat = s.stat[:s.n]
+	s.x = s.x[:s.n]
+	inBasis := s.inBasis[:s.n]
+	clear(inBasis)
+	for r, j := range wb.Basic {
+		if j < 0 || int(j) >= s.n || inBasis[j] {
+			return false
+		}
+		inBasis[j] = true
+		s.basis[r] = int(j)
+	}
+	for j := 0; j < s.n; j++ {
+		st := vstat(wb.Stat[j])
+		if (st == basic) != inBasis[j] {
+			return false
+		}
+		if st == basic {
+			s.stat[j] = basic
+			continue
+		}
+		s.stat[j], s.x[j] = s.nonbasicPoint(j, st)
+	}
+	return true
+}
+
 // nonbasicPoint places nonbasic column j at the point implied by its
 // snapshotted status, re-deriving the status when the bounds changed
 // shape underneath it (a branch may fix a variable whose snapshot said
@@ -124,9 +132,16 @@ func (s *simplex) deadlineExceeded() bool {
 // when a violated row has no feasible entering direction (a Farkas
 // certificate independent of the objective), or the usual budget/numeric
 // statuses.
+//
+// The reduced costs live in s.d. They are computed from fresh duals once
+// per (re)factorization and otherwise updated from the pivot row the
+// ratio test computes anyway, which saves a btran and a dot product per
+// column on every iteration. Fixed columns never enter, so the ratio
+// test skips them and their entries go stale; nothing reads them.
 func (s *simplex) dualRun() Status {
 	feasTol := math.Max(s.tol, 1e-9)
 	sinceRefactor := 0
+	s.refreshReducedCosts()
 	for {
 		if s.iters >= s.maxIter {
 			return StatusIterationLimit
@@ -158,17 +173,17 @@ func (s *simplex) dualRun() Status {
 			if st := s.factorize(); st != StatusOptimal {
 				return st
 			}
+			s.refreshReducedCosts()
 			sinceRefactor = 0
 			continue // re-scan: refreshed values may shift the pick
 		}
 
-		// rho = row leaveRow of B^{-1}; alphaRow_j = rho . a_j.
+		// rho = row leaveRow of B^{-1}; arow_j = rho . a_j.
 		for r := 0; r < s.m; r++ {
 			s.rho[r] = 0
 		}
 		s.rho[leaveRow] = 1
 		s.btran(s.rho)
-		s.computeDuals()
 
 		// Dual ratio test: among columns that can absorb the violation,
 		// pick the one whose reduced cost reaches zero first, keeping
@@ -184,6 +199,7 @@ func (s *simplex) dualRun() Status {
 			for _, e := range s.cols[j] {
 				arj += s.rho[e.row] * e.coef
 			}
+			s.arow[j] = arj
 			if math.Abs(arj) < 1e-9 {
 				continue
 			}
@@ -200,7 +216,7 @@ func (s *simplex) dualRun() Status {
 					continue
 				}
 			}
-			ratio := math.Abs(s.reducedCost(j)) / math.Abs(arj)
+			ratio := math.Abs(s.d[j]) / math.Abs(arj)
 			if ratio < bestRatio-1e-12 ||
 				(ratio <= bestRatio+1e-12 && math.Abs(arj) > bestAbs) {
 				enter, bestRatio, bestAbs = j, ratio, math.Abs(arj)
@@ -228,12 +244,25 @@ func (s *simplex) dualRun() Status {
 			if st := s.factorize(); st != StatusOptimal {
 				return st
 			}
+			s.refreshReducedCosts()
 			sinceRefactor = 0
 			continue
 		}
 
-		dq := viol / arj
+		// Reduced-cost update along the pivot row: the entering column's
+		// reduced cost goes to zero and the leaving column, whose row
+		// entry is 1, takes -theta.
 		leave := s.basis[leaveRow]
+		theta := s.d[enter] / s.arow[enter]
+		for j := 0; j < s.n; j++ {
+			if s.stat[j] != basic && s.lo[j] != s.hi[j] {
+				s.d[j] -= theta * s.arow[j]
+			}
+		}
+		s.d[enter] = 0
+		s.d[leave] = -theta
+
+		dq := viol / arj
 		s.x[enter] += dq
 		for r := 0; r < s.m; r++ {
 			if s.alpha[r] != 0 {
@@ -248,8 +277,24 @@ func (s *simplex) dualRun() Status {
 			s.stat[leave] = nbLower
 			s.x[leave] = s.lo[leave]
 		}
+
 		s.appendEta(s.alpha, leaveRow)
 		s.basis[leaveRow] = enter
 		s.stat[enter] = basic
+	}
+}
+
+// refreshReducedCosts recomputes every reduced cost d_j = c_j - y.a_j
+// from fresh duals; basic columns get exactly zero.
+func (s *simplex) refreshReducedCosts() {
+	s.computeDuals()
+	s.d = s.d[:s.n]
+	s.arow = s.arow[:s.n]
+	for j := 0; j < s.n; j++ {
+		if s.stat[j] == basic {
+			s.d[j] = 0
+			continue
+		}
+		s.d[j] = s.reducedCost(j)
 	}
 }

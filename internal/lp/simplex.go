@@ -134,9 +134,13 @@ type simplex struct {
 	bland       bool
 
 	// scratch buffers
-	y       []float64
-	alpha   []float64
-	rho     []float64
+	y     []float64
+	alpha []float64
+	rho   []float64
+	// d and arow are the dual simplex's per-column reduced costs and
+	// pivot row (see dualRun).
+	d       []float64
+	arow    []float64
 	inBasis []bool // warm-start duplicate check
 	// factorization scratch
 	forder   []int

@@ -107,6 +107,63 @@ func TestWarmStartMatchesColdProperty(t *testing.T) {
 	}
 }
 
+// TestDualReducedCostsMatchFresh is the invariant behind dualRun's
+// incremental reduced costs: at the end of every warm dual run, the
+// maintained d_j of each basic and each non-fixed nonbasic column must
+// equal c_j - y.a_j recomputed from fresh duals. (Fixed columns never
+// enter, so dualRun does not maintain theirs.)
+func TestDualReducedCostsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(4321))
+	checked, pivoted := 0, 0
+	for trial := 0; trial < 500; trial++ {
+		m := randomBoundedLP(rng)
+		parent := Solve(m, Options{ReturnBasis: true})
+		if parent.Status != StatusOptimal || parent.Basis == nil {
+			continue
+		}
+		n := m.NumVariables()
+		lo, hi := make([]float64, n), make([]float64, n)
+		for v := range lo {
+			lo[v], hi[v] = math.NaN(), math.NaN()
+		}
+		branchBounds(rng, m, lo, hi)
+
+		// warmSolve up to the end of its dual run.
+		s := &Compile(m).NewWorkspace().s
+		if s.setup(Options{}, lo, hi) != StatusOptimal || !s.installBasis(parent.Basis) ||
+			s.factorize() != StatusOptimal {
+			continue
+		}
+		s.cost = s.cost[:s.n]
+		copy(s.cost, s.cost2)
+		st := s.dualRun()
+		if st != StatusOptimal && st != StatusInfeasible {
+			continue
+		}
+		checked++
+		if s.iters > 0 {
+			pivoted++
+		}
+		s.computeDuals()
+		for j := 0; j < s.n; j++ {
+			want := 0.0
+			switch {
+			case s.stat[j] == basic:
+			case s.lo[j] == s.hi[j]:
+				continue
+			default:
+				want = s.reducedCost(j)
+			}
+			if math.Abs(s.d[j]-want) > 1e-7 {
+				t.Fatalf("trial %d (%v after %d pivots): d[%d] = %g, fresh %g", trial, st, s.iters, j, s.d[j], want)
+			}
+		}
+	}
+	if checked < 100 || pivoted < 50 {
+		t.Fatalf("only %d dual runs checked, %d with pivots; generator too restrictive", checked, pivoted)
+	}
+}
+
 func effectiveBound(m *Model, v int, lo, hi []float64) (float64, float64) {
 	l, h := m.Bounds(VarID(v))
 	if !math.IsNaN(lo[v]) {

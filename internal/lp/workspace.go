@@ -128,6 +128,8 @@ func (c *Compiled) NewWorkspace() *Workspace {
 	s.y = make([]float64, c.m)
 	s.alpha = make([]float64, c.m)
 	s.rho = make([]float64, c.m)
+	s.d = make([]float64, 0, capN)
+	s.arow = make([]float64, 0, capN)
 	s.forder = make([]int, c.m)
 	s.fcount = make([]int, c.maxColLen+2)
 	s.fpivoted = make([]bool, c.m)

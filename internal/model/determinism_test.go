@@ -88,3 +88,25 @@ func TestMILPSolveRepeats(t *testing.T) {
 		}
 	}
 }
+
+// TestMILPPivotPathPinned pins the node and pivot counts of one milp-o
+// solve to the values the dense per-iteration dual recomputation gave.
+// The simplex's pivot choices depend only on the problem, so an
+// arithmetic rewrite of the pivot path (such as maintaining reduced
+// costs incrementally) must reproduce them exactly; any change to which
+// pivots are taken fails here loudly rather than only shifting timings.
+func TestMILPPivotPathPinned(t *testing.T) {
+	const wantNodes, wantPivots = 1224, 12007
+	rec := obs.NewRecorder()
+	sol, err := (&OEngine{}).Solve(context.Background(), tinyGenerated(t, 26),
+		core.SolveOptions{Workers: 1, TimeLimit: 60 * time.Second, Probe: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Proven {
+		t.Fatal("not proven optimal")
+	}
+	if pivots := rec.Total(obs.Pivots); sol.Nodes != wantNodes || pivots != wantPivots {
+		t.Fatalf("%d nodes / %d pivots, want %d / %d", sol.Nodes, pivots, wantNodes, wantPivots)
+	}
+}
