@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -193,6 +194,59 @@ func TestMILPCancellationContractSDRInstances(t *testing.T) {
 				}
 				if err == nil {
 					t.Error("nil error on a pre-canceled context")
+				}
+			})
+		}
+	}
+}
+
+// TestSDROutcomesWithinBudget runs the paper's evaluation cells (exact,
+// milp-ho and constructive on SDR, SDR2 and SDR3) at a 2s budget and
+// checks each answer together with the deadline contract: every cell
+// returns a valid floorplan within budget+contractEpsilon, exact proves
+// the reference optimum (the values perfbench's refs.go checks), and
+// milp-ho and constructive score no worse than they did when this test
+// was written. A lost proof, a lost solution, a worse score or a budget
+// overrun fails the cell at any magnitude.
+func TestSDROutcomesWithinBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves the full SDR instances; skipped in -short")
+	}
+	const budget = 2 * time.Second
+	const relTol = 1e-9
+	want := map[string]struct{ optimum, heuristic float64 }{
+		"sdr":  {10968.086471775339, 10968.234430959012},
+		"sdr2": {10968.09667585697, 13405.64707094537},
+		"sdr3": {10968.117084020236, 13579.558104996873},
+	}
+	for _, engine := range []string{"exact", "milp-ho", "constructive"} {
+		for _, inst := range sdrContractInstances() {
+			t.Run(engine+"/"+inst.name, func(t *testing.T) {
+				start := time.Now()
+				sol, err := floorplanner.Solve(context.Background(), inst.p, floorplanner.Options{
+					Engine:    engine,
+					TimeLimit: budget,
+					Seed:      1,
+				})
+				if elapsed := time.Since(start); elapsed > budget+contractEpsilon {
+					t.Errorf("returned after %s, want ≤ %s", elapsed, budget+contractEpsilon)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sol.Validate(inst.p); err != nil {
+					t.Fatalf("returned invalid solution: %v", err)
+				}
+				obj, w := sol.Objective(inst.p), want[inst.name]
+				if engine == "exact" {
+					if !sol.Proven {
+						t.Error("not proven optimal")
+					}
+					if math.Abs(obj-w.optimum) > relTol*w.optimum {
+						t.Errorf("objective %v, want the proven optimum %v", obj, w.optimum)
+					}
+				} else if obj > w.heuristic*(1+relTol) {
+					t.Errorf("objective %v, want ≤ %v", obj, w.heuristic)
 				}
 			})
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/sdr"
 )
 
@@ -312,5 +313,39 @@ func TestSyntheticScaling(t *testing.T) {
 		if err := sol.Validate(p); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+	}
+}
+
+// TestSDRSearchPinned pins the sequential search's node and pruned-subtree
+// counts on the paper's three instances. With one worker the DFS order
+// depends only on the problem, so these counts repeat exactly; a change
+// to the bounds, the candidate order or the FC slot filtering moves them
+// and fails here with zero margin, where a wall-clock gate would need a
+// noise allowance.
+func TestSDRSearchPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		p             *core.Problem
+		nodes, pruned int64
+	}{
+		{"sdr", sdr.Problem(), 1115541, 28434203},
+		{"sdr2", sdr.SDR2(), 198269, 1969483},
+		{"sdr3", sdr.SDR3(), 211570, 2120391},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			sol, err := (&Engine{}).Solve(context.Background(), tc.p,
+				core.SolveOptions{Workers: 1, TimeLimit: 120 * time.Second, Probe: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sol.Proven {
+				t.Fatal("not proven optimal")
+			}
+			nodes, pruned := rec.Total(obs.Nodes), rec.Total(obs.Pruned)
+			if nodes != tc.nodes || pruned != tc.pruned {
+				t.Fatalf("%d nodes / %d pruned, want %d / %d", nodes, pruned, tc.nodes, tc.pruned)
+			}
+		})
 	}
 }

@@ -126,8 +126,8 @@ type Record struct {
 	// solve produced the cached entry (0 when unknown, e.g. after a
 	// daemon restart repopulated the cache without the ring).
 	OriginSeq int64 `json:"origin_seq,omitempty"`
-	// Stages are the fallback-chain stage timings, when the solve ran
-	// the fallback meta-engine.
+	// Stages are the member stage timings, when the solve ran a
+	// meta-engine ("portfolio" race entries or "fallback" chain stages).
 	Stages []Stage `json:"stages,omitempty"`
 	// Breakers snapshots the per-engine circuit breakers at record time.
 	Breakers []Breaker `json:"breakers,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exact"
+	"repro/internal/obs"
 	"repro/internal/sdr"
 )
 
@@ -70,6 +71,38 @@ func TestConstructiveDeterministic(t *testing.T) {
 		if a.Regions[i] != b.Regions[i] {
 			t.Fatalf("region %d differs across runs: %v vs %v", i, a.Regions[i], b.Regions[i])
 		}
+	}
+}
+
+// TestConstructiveSDRPinned pins the constructive placer's node and
+// backtrack counts on the paper's three instances. The placer is
+// deterministic, so any change to its candidate order, backtracking
+// bound or FC filter moves these counts and fails here with zero margin.
+func TestConstructiveSDRPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		p                 *core.Problem
+		nodes, backtracks int64
+	}{
+		{"sdr", sdr.Problem(), 5, 0},
+		{"sdr2", sdr.SDR2(), 275, 265},
+		{"sdr3", sdr.SDR3(), 7342, 7332},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			sol, err := (&Constructive{}).Solve(context.Background(), tc.p,
+				core.SolveOptions{TimeLimit: 60 * time.Second, Probe: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sol.Validate(tc.p); err != nil {
+				t.Fatal(err)
+			}
+			nodes, backtracks := rec.Total(obs.Nodes), rec.Total(obs.Backtracks)
+			if nodes != tc.nodes || backtracks != tc.backtracks {
+				t.Fatalf("%d nodes / %d backtracks, want %d / %d", nodes, backtracks, tc.nodes, tc.backtracks)
+			}
+		})
 	}
 }
 

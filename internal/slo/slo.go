@@ -43,9 +43,9 @@ const (
 
 // BudgetEpsilon is the slack granted past a request's budget before a
 // budget-relative latency objective counts the sample bad — the same
-// 250ms the engine deadline contract and benchfmt.ContractEpsilonMS
-// grant for bookkeeping between the deadline firing and the call
-// returning.
+// 250ms the engine deadline contract grants (contractEpsilon in the root
+// package's contract_epsilon_test.go) for bookkeeping between the
+// deadline firing and the call returning.
 const BudgetEpsilon = 250 * time.Millisecond
 
 // Objective declares one SLO over a slice of traffic.
