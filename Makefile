@@ -7,7 +7,9 @@
 #   make test      plain test run (no race detector; faster)
 #   make bench     candidate-enumeration cache benchmarks (hit vs miss),
 #                  branch-and-bound node cost (allocs/node), the mask
-#                  overlap test and exact-search node cost (ns/node)
+#                  overlap test, exact-search node cost (ns/node), the
+#                  config-memory load/unload/relocate cost and the
+#                  session's per-event Apply cost
 #   make obs-bench telemetry + profile-label overhead benchmarks (bare vs
 #                  no-op vs recorder; labels off vs on)
 #   make diag-smoke boot floorpland with chaos + fault injection, force an
@@ -19,8 +21,9 @@
 #   make sim-faults run the floorsim soak under injected reconfiguration
 #                  faults (SIM_FAULT_SEED) and validate the report —
 #                  proves zero corrupted frames and zero lost tasks
-#   make fuzz      short fuzz smoke over the wire-format decoders
-#                  (FUZZTIME=10s per target by default)
+#   make fuzz      short fuzz smoke over the wire-format decoders and the
+#                  config-memory differential test (FUZZTIME=10s per
+#                  target by default)
 
 GO       ?= go
 BIN      := bin
@@ -72,6 +75,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMILPNodes' -benchmem ./internal/milp
 	$(GO) test -run '^$$' -bench 'BenchmarkMaskOverlapsRect' -benchmem ./internal/grid
 	$(GO) test -run '^$$' -bench 'BenchmarkExactSearch' -benchmem ./internal/exact
+	$(GO) test -run '^$$' -bench 'BenchmarkConfigMemory' -benchmem -benchtime 2000x ./internal/bitstream
+	$(GO) test -run '^$$' -bench 'BenchmarkSessionApply' -benchmem -benchtime 4000x ./internal/session
 
 obs-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkObsOverhead|BenchmarkProfileLabelOverhead' -benchmem .
@@ -97,6 +102,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzProblemDecode      -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzSolveRequestDecode -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzDecode             -fuzztime $(FUZZTIME) ./internal/bitstream
+	$(GO) test -run '^$$' -fuzz FuzzConfigMemoryOps    -fuzztime $(FUZZTIME) ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay          -fuzztime $(FUZZTIME) ./internal/session
 
 serve: build

@@ -22,7 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/grid"
@@ -83,7 +83,7 @@ func payload(seed int64, relC, relR int, t device.TypeID, minor int) [FrameBytes
 	binary.LittleEndian.PutUint16(ctr[12:], uint16(t))
 	binary.LittleEndian.PutUint16(ctr[14:], uint16(minor))
 	// Simple xorshift-style expansion of the counter block.
-	state := crc32.ChecksumIEEE(ctr[:])
+	state := crcBytes(0, ctr[:])
 	for i := 0; i < FrameBytes; i += 4 {
 		state ^= state << 13
 		state ^= state >> 17
@@ -101,7 +101,7 @@ func Generate(d *device.Device, area grid.Rect, seed int64) (*Bitstream, error) 
 	if !d.CanPlace(area) {
 		return nil, fmt.Errorf("bitstream: area %v is not a legal placement on %s", area, d.Name())
 	}
-	bs := &Bitstream{DeviceName: d.Name(), Area: area}
+	bs := &Bitstream{DeviceName: d.Name(), Area: area, Frames: make([]Frame, 0, d.FramesInRect(area))}
 	area.Tiles(func(c, r int) {
 		t := d.TypeAt(c, r)
 		frames := d.Type(t).Frames
@@ -127,25 +127,88 @@ func (bs *Bitstream) CheckCRC() bool {
 	return bs.CRC == bs.checksum()
 }
 
+// checksum is the CRC-32 (IEEE) of the device name, then the area
+// (X, Y, W, H) and every frame's address (column, row, minor) as
+// little-endian 64-bit integers, each frame's followed by its payload.
 func (bs *Bitstream) checksum() uint32 {
-	h := crc32.NewIEEE()
-	h.Write([]byte(bs.DeviceName))
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		h.Write(buf[:])
+	w := newCRCWriter()
+	// In buffer-sized pieces: a decoded name may be up to 64 KiB.
+	for name := bs.DeviceName; len(name) > 0; {
+		name = name[copy(w.next(min(len(name), crcBatchBytes)), name):]
 	}
-	writeInt(bs.Area.X)
-	writeInt(bs.Area.Y)
-	writeInt(bs.Area.W)
-	writeInt(bs.Area.H)
-	for _, f := range bs.Frames {
-		writeInt(f.Addr.Column)
-		writeInt(f.Addr.Row)
-		writeInt(f.Addr.Minor)
-		h.Write(f.Payload[:])
+	hdr := w.next(32)
+	putInt(hdr[0:], bs.Area.X)
+	putInt(hdr[8:], bs.Area.Y)
+	putInt(hdr[16:], bs.Area.W)
+	putInt(hdr[24:], bs.Area.H)
+	for i := range bs.Frames {
+		f := &bs.Frames[i]
+		rec := w.next(24 + FrameBytes)
+		putInt(rec[0:], f.Addr.Column)
+		putInt(rec[8:], f.Addr.Row)
+		putInt(rec[16:], f.Addr.Minor)
+		copy(rec[24:], f.Payload[:])
 	}
-	return h.Sum32()
+	return w.sum()
+}
+
+func putInt(b []byte, v int) { binary.LittleEndian.PutUint64(b, uint64(int64(v))) }
+
+// crcBatchBytes is the size of a crcWriter's buffer: 16 bitstream frame
+// records per crc32.Update call.
+const crcBatchBytes = 16 * (24 + FrameBytes)
+
+// crcPool recycles crcWriter buffers. A stack buffer would not help: the
+// slice handed to crc32.Update escapes through its indirect call, so
+// every checksum would allocate one.
+var crcPool = sync.Pool{New: func() any { return new([crcBatchBytes]byte) }}
+
+// crcWriter computes a CRC-32 (IEEE) over records laid out in a pooled
+// buffer, folding a whole batch of them per crc32.Update call.
+type crcWriter struct {
+	crc uint32
+	buf *[crcBatchBytes]byte
+	n   int
+}
+
+func newCRCWriter() crcWriter {
+	return crcWriter{buf: crcPool.Get().(*[crcBatchBytes]byte)}
+}
+
+// next returns the following size bytes of the stream for the caller to
+// fill (size <= crcBatchBytes), folding the buffered records first when
+// they would not fit.
+func (w *crcWriter) next(size int) []byte {
+	if w.n+size > crcBatchBytes {
+		w.flush()
+	}
+	b := w.buf[w.n : w.n+size]
+	w.n += size
+	return b
+}
+
+func (w *crcWriter) flush() {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[:w.n])
+	w.n = 0
+}
+
+// sum folds what is buffered, returns the buffer to the pool and
+// returns the CRC. The writer must not be used afterwards.
+func (w *crcWriter) sum() uint32 {
+	w.flush()
+	crcPool.Put(w.buf)
+	w.buf = nil
+	return w.crc
+}
+
+// crcBytes folds p into crc byte by byte through crc32.IEEETable: for
+// short inputs this keeps p on the caller's stack.
+func crcBytes(crc uint32, p []byte) uint32 {
+	crc = ^crc
+	for _, b := range p {
+		crc = crc32.IEEETable[byte(crc)^b] ^ (crc >> 8)
+	}
+	return ^crc
 }
 
 // FrameCount returns the number of frames, which for a generated
@@ -181,156 +244,4 @@ func Relocate(d *device.Device, bs *Bitstream, target grid.Rect) (*Bitstream, er
 	}
 	out.Seal()
 	return out, nil
-}
-
-// ConfigMemory simulates the device's configuration memory plane: frames
-// are written through Load, which performs the checks the configuration
-// interface (and a bitstream filter) would perform.
-type ConfigMemory struct {
-	dev    *device.Device
-	frames map[FrameAddress][FrameBytes]byte
-	owner  map[FrameAddress]string
-}
-
-// NewConfigMemory returns an empty configuration memory for d.
-func NewConfigMemory(d *device.Device) *ConfigMemory {
-	return &ConfigMemory{
-		dev:    d,
-		frames: make(map[FrameAddress][FrameBytes]byte),
-		owner:  make(map[FrameAddress]string),
-	}
-}
-
-// Load writes a partial bitstream into configuration memory under the
-// given task name. It rejects bitstreams with a stale CRC, frames outside
-// the device or its stated area, frames addressed at forbidden tiles, and
-// minor indices beyond the tile type's frame count. Tiles already owned
-// by a different task are rejected too (the "must not overlap other
-// tasks" rule of Definition .2).
-func (cm *ConfigMemory) Load(bs *Bitstream, task string) error {
-	if bs.DeviceName != cm.dev.Name() {
-		return fmt.Errorf("bitstream: device mismatch: %q vs %q", bs.DeviceName, cm.dev.Name())
-	}
-	if !bs.CheckCRC() {
-		return fmt.Errorf("bitstream: CRC mismatch (filter forgot to reseal?)")
-	}
-	bounds := cm.dev.Bounds()
-	for _, f := range bs.Frames {
-		if !bounds.Contains(f.Addr.Column, f.Addr.Row) {
-			return fmt.Errorf("bitstream: frame %v outside the device", f.Addr)
-		}
-		if !bs.Area.Contains(f.Addr.Column, f.Addr.Row) {
-			return fmt.Errorf("bitstream: frame %v outside the declared area %v", f.Addr, bs.Area)
-		}
-		if cm.dev.InForbidden(f.Addr.Column, f.Addr.Row) {
-			return fmt.Errorf("bitstream: frame %v targets a forbidden tile", f.Addr)
-		}
-		t := cm.dev.TileAt(f.Addr.Column, f.Addr.Row)
-		if f.Addr.Minor < 0 || f.Addr.Minor >= t.Frames {
-			return fmt.Errorf("bitstream: frame %v has minor index beyond %s's %d frames", f.Addr, t.Name, t.Frames)
-		}
-		if owner, taken := cm.owner[f.Addr]; taken && owner != task {
-			return fmt.Errorf("bitstream: frame %v already configured by task %q", f.Addr, owner)
-		}
-	}
-	for _, f := range bs.Frames {
-		cm.frames[f.Addr] = f.Payload
-		cm.owner[f.Addr] = task
-	}
-	return nil
-}
-
-// Unload clears every frame owned by the task (the area becomes free for
-// relocation targets again).
-func (cm *ConfigMemory) Unload(task string) {
-	for addr, owner := range cm.owner {
-		if owner == task {
-			delete(cm.frames, addr)
-			delete(cm.owner, addr)
-		}
-	}
-}
-
-// Frame reads back one configured frame.
-func (cm *ConfigMemory) Frame(addr FrameAddress) ([FrameBytes]byte, bool) {
-	p, ok := cm.frames[addr]
-	return p, ok
-}
-
-// CorruptFrame flips the given bit mask into the first payload word of a
-// loaded frame, reporting whether the frame existed. It models an upset
-// during shift-in — the write "succeeded" but the stored content is
-// wrong — and exists for fault injection; only readback can detect it.
-func (cm *ConfigMemory) CorruptFrame(addr FrameAddress, mask byte) bool {
-	p, ok := cm.frames[addr]
-	if !ok {
-		return false
-	}
-	p[0] ^= mask
-	cm.frames[addr] = p
-	return true
-}
-
-// Digest hashes every configured frame (address and payload, in address
-// order) into one CRC-32. Two configuration memories holding the same
-// design content at the same locations digest identically — the
-// frame-for-frame equality check crash-recovery verification relies on.
-func (cm *ConfigMemory) Digest() uint32 {
-	addrs := make([]FrameAddress, 0, len(cm.frames))
-	for addr := range cm.frames {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		a, b := addrs[i], addrs[j]
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Minor < b.Minor
-	})
-	h := crc32.NewIEEE()
-	var buf [8]byte
-	for _, addr := range addrs {
-		binary.LittleEndian.PutUint16(buf[0:], uint16(addr.Column))
-		binary.LittleEndian.PutUint16(buf[2:], uint16(addr.Row))
-		binary.LittleEndian.PutUint16(buf[4:], uint16(addr.Minor))
-		h.Write(buf[:6])
-		p := cm.frames[addr]
-		h.Write(p[:])
-	}
-	return h.Sum32()
-}
-
-// LoadedFrames returns the number of configured frames.
-func (cm *ConfigMemory) LoadedFrames() int { return len(cm.frames) }
-
-// TaskEquivalent reports whether two tasks' configurations are
-// functionally identical: same relative frame layout and payloads within
-// their areas. A correct relocation always satisfies this.
-func (cm *ConfigMemory) TaskEquivalent(taskA string, areaA grid.Rect, taskB string, areaB grid.Rect) bool {
-	if !areaA.SameShape(areaB) {
-		return false
-	}
-	framesA := map[FrameAddress][FrameBytes]byte{}
-	for addr, owner := range cm.owner {
-		if owner == taskA {
-			rel := FrameAddress{Column: addr.Column - areaA.X, Row: addr.Row - areaA.Y, Minor: addr.Minor}
-			framesA[rel] = cm.frames[addr]
-		}
-	}
-	count := 0
-	for addr, owner := range cm.owner {
-		if owner != taskB {
-			continue
-		}
-		count++
-		rel := FrameAddress{Column: addr.Column - areaB.X, Row: addr.Row - areaB.Y, Minor: addr.Minor}
-		pa, ok := framesA[rel]
-		if !ok || pa != cm.frames[addr] {
-			return false
-		}
-	}
-	return count == len(framesA) && count > 0
 }

@@ -110,17 +110,14 @@ func (e *HOEngine) Solve(ctx context.Context, p *core.Problem, opts core.SolveOp
 		if solveSeed == nil {
 			solveSeed = (&heuristic.Constructive{}).Solve
 		}
+		// Without a seed HO has no sequence pair and hence no MILP to
+		// run, so the seed gets the whole remaining budget in one call:
+		// the constructive placer's work does not depend on its budget
+		// (bounded backtracking), it finishes as early as it can and the
+		// MILP keeps the rest. A quarter slice would only make a slow
+		// seed (sdr3 under load) miss and start over.
 		var err error
-		seed, err = solveSeed(ctx, p, seedBudget(opts))
-		if err != nil && ctx.Err() == nil {
-			// The quarter-slice seed budget is a split heuristic, not a
-			// verdict: without a seed HO has no sequence pair and hence no
-			// MILP to run, so the unspent MILP share is worthless on its
-			// own. Lend the seed the remaining budget before giving up —
-			// this is what lets HO solve sdr3-sized instances whose seed
-			// alone needs more than a quarter of the budget.
-			seed, err = solveSeed(ctx, p, remainingBudget(opts, start))
-		}
+		seed, err = solveSeed(ctx, p, remainingBudget(opts, start))
 		if err != nil {
 			// The constructive placer's give-up (bounded backtracking
 			// exhausted) is not an infeasibility proof. Do not wrap err:

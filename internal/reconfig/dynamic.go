@@ -41,6 +41,7 @@ func (m *Manager) AddRegion(name string, home grid.Rect) (int, error) {
 			fmt.Sprintf("area %v overlaps live region %d (%s)", home, other, m.names[other]))
 	}
 	m.names = append(m.names, name)
+	m.tasks = append(m.tasks, taskName(ri, name))
 	m.removed = append(m.removed, false)
 	m.slots = append(m.slots, []Slot{{Region: ri, Index: 0, Area: home}})
 	m.current = append(m.current, -1)
@@ -112,12 +113,9 @@ func (m *Manager) CurrentArea(region int) (grid.Rect, bool) {
 // LiveAreas returns the current area of every loaded region, indexed by
 // region. Unloaded and removed regions are absent.
 func (m *Manager) LiveAreas() map[int]grid.Rect {
-	out := make(map[int]grid.Rect)
-	for ri, cur := range m.current {
-		if cur < 0 || m.removed[ri] {
-			continue
-		}
-		out[ri] = m.slots[ri][cur].Area
+	out := make(map[int]grid.Rect, len(m.live))
+	for _, ri := range m.live {
+		out[ri] = m.slots[ri][m.current[ri]].Area
 	}
 	return out
 }

@@ -2,8 +2,11 @@ package reconfig
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/device"
 	"repro/internal/grid"
 )
@@ -218,5 +221,98 @@ func TestExecuteSchedule(t *testing.T) {
 	wantKind(t, err, KindOccupied)
 	if rep2.Executed != 0 {
 		t.Fatalf("executed = %d, want 0", rep2.Executed)
+	}
+}
+
+// TestVerifyRegionCatchesCorruption: readback after a relocation reads
+// the moved copy, so an upset in it shows, and the vacated source area
+// holds no frames.
+func TestVerifyRegionCatchesCorruption(t *testing.T) {
+	d := device.VirtexFX70T()
+	m := NewDynamic(d, DefaultFrameTime)
+	home, alt := grid.Rect{X: 4, Y: 0, W: 3, H: 2}, grid.Rect{X: 4, Y: 4, W: 3, H: 2}
+	ri, err := m.AddRegion("mod-a", home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, err := m.AddSlot(ri, alt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Configure(ri, 7, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Relocate(ri, si); err != nil {
+		t.Fatal(err)
+	}
+	want := d.FramesInRect(alt)
+	if got := m.cm.LoadedFrames(); got != want {
+		t.Fatalf("loaded %d frames after relocate, want the moved copy's %d", got, want)
+	}
+	if _, ok := m.cm.Frame(bitstream.FrameAddress{Column: home.X, Row: home.Y}); ok {
+		t.Fatal("source area still configured after relocate")
+	}
+	// Upset every frame of the moved copy in turn; readback must see
+	// each one, and flipping it back must verify clean again.
+	alt.Tiles(func(c, r int) {
+		for minor := 0; minor < d.TileAt(c, r).Frames; minor++ {
+			addr := bitstream.FrameAddress{Column: c, Row: r, Minor: minor}
+			if !m.cm.CorruptFrame(addr, 0x01) {
+				t.Fatalf("moved copy lacks frame %v", addr)
+			}
+			if frames, corrupted := m.VerifyRegion(ri); frames != want || corrupted != 1 {
+				t.Fatalf("upset at %v: verify = (%d, %d), want (%d, 1)", addr, frames, corrupted, want)
+			}
+			m.cm.CorruptFrame(addr, 0x01)
+		}
+	})
+	if frames, corrupted := m.VerifyRegion(ri); frames != want || corrupted != 0 {
+		t.Fatalf("verify = (%d, %d), want (%d, 0)", frames, corrupted, want)
+	}
+}
+
+// TestOccupancyScansLiveRegions: occupancy answers from the live set,
+// which shrinks on unload, and still names the lowest overlapping
+// region index whatever order regions were loaded in.
+func TestOccupancyScansLiveRegions(t *testing.T) {
+	d := device.VirtexFX70T()
+	m := NewDynamic(d, DefaultFrameTime)
+	for i := 0; i < 200; i++ {
+		ri, err := m.AddRegion("churn", grid.Rect{X: 4, Y: 0, W: 3, H: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Configure(ri, int64(i), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RemoveRegion(ri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.live) != 0 || m.cm.LoadedFrames() != 0 {
+		t.Fatalf("after churn: %d live regions, %d frames loaded", len(m.live), m.cm.LoadedFrames())
+	}
+	lo, err := m.AddRegion("lo", grid.Rect{X: 4, Y: 0, W: 3, H: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := m.AddRegion("hi", grid.Rect{X: 9, Y: 0, W: 3, H: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Load hi first, so the live list holds hi before lo.
+	for _, ri := range []int{hi, lo} {
+		if err := m.Configure(ri, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = m.AddRegion("both", grid.Rect{X: 5, Y: 0, W: 6, H: 1})
+	wantKind(t, err, KindOccupied)
+	var oe *OpError
+	if !errors.As(err, &oe) || !strings.Contains(oe.Detail, fmt.Sprintf("live region %d (lo)", lo)) {
+		t.Fatalf("overlap reported as %v, want region %d (lo)", err, lo)
+	}
+	if live := m.LiveAreas(); len(live) != 2 {
+		t.Fatalf("LiveAreas = %v, want 2 regions", live)
 	}
 }

@@ -60,12 +60,17 @@ type Manager struct {
 	cm        *bitstream.ConfigMemory
 	frameTime time.Duration
 
-	names   []string // per region: task label
+	names   []string // per region: module name
+	tasks   []string // per region: config-memory task name (see taskName)
 	removed []bool   // per region: retired by RemoveRegion
 	slots   [][]Slot // per region: placement + FC areas
 	current []int    // per region: occupied slot index, -1 if unloaded
 	mode    []int64  // per region: loaded mode seed (valid when current >= 0)
-	store   map[storeKey]*bitstream.Bitstream
+	// live lists the loaded regions, in no particular order: region
+	// indices are never reused, so the per-region slices grow with every
+	// region ever added, and occupancy scans only this list.
+	live  []int
+	store map[storeKey]*bitstream.Bitstream
 
 	// faults, when non-nil, injects configuration-port failures into
 	// every frame write; loadFrames retries/repairs around them.
@@ -119,6 +124,7 @@ func New(p *core.Problem, sol *core.Solution, frameTime time.Duration) (*Manager
 		cm:        bitstream.NewConfigMemory(p.Device),
 		frameTime: frameTime,
 		names:     make([]string, len(p.Regions)),
+		tasks:     make([]string, len(p.Regions)),
 		removed:   make([]bool, len(p.Regions)),
 		slots:     make([][]Slot, len(p.Regions)),
 		current:   make([]int, len(p.Regions)),
@@ -127,6 +133,7 @@ func New(p *core.Problem, sol *core.Solution, frameTime time.Duration) (*Manager
 	}
 	for ri, r := range sol.Regions {
 		m.names[ri] = p.Regions[ri].Name
+		m.tasks[ri] = taskName(ri, m.names[ri])
 		m.slots[ri] = []Slot{{Region: ri, Index: 0, Area: r}}
 		m.current[ri] = -1
 	}
@@ -171,8 +178,8 @@ func (m *Manager) SetFaultPlan(p *FaultPlan) { m.faults = p }
 func (m *Manager) FrameDigest() uint32 { return m.cm.Digest() }
 
 // taskName labels a region's configuration in the config memory.
-func (m *Manager) taskName(region int) string {
-	return fmt.Sprintf("region-%d:%s", region, m.names[region])
+func taskName(region int, name string) string {
+	return fmt.Sprintf("region-%d:%s", region, name)
 }
 
 // bitstreamFor returns (building and caching on first use) the single
@@ -189,6 +196,16 @@ func (m *Manager) bitstreamFor(region int, mode int64) (*bitstream.Bitstream, er
 	}
 	m.store[key] = bs
 	return bs, nil
+}
+
+// placedAt runs the relocation filter to retarget a stored image to
+// area. The image was generated for its home area, so the home slot
+// takes it as it is.
+func (m *Manager) placedAt(bs *bitstream.Bitstream, area grid.Rect) (*bitstream.Bitstream, error) {
+	if area == bs.Area {
+		return bs, nil
+	}
+	return bitstream.Relocate(m.dev, bs, area)
 }
 
 // charge accounts for writing a bitstream through the configuration port.
@@ -293,15 +310,16 @@ func (m *Manager) Configure(region int, mode int64, slot int) error {
 	if err != nil {
 		return wrapErr(op, region, slot, err)
 	}
-	placed, err := bitstream.Relocate(m.dev, bs, target)
+	placed, err := m.placedAt(bs, target)
 	if err != nil {
 		return wrapErr(op, region, slot, err)
 	}
-	if err := m.loadFrames(op, region, slot, placed, m.taskName(region)); err != nil {
+	if err := m.loadFrames(op, region, slot, placed, m.tasks[region]); err != nil {
 		return err
 	}
 	m.current[region] = slot
 	m.mode[region] = mode
+	m.live = append(m.live, region)
 	m.stats.Configurations++
 	return nil
 }
@@ -321,12 +339,12 @@ func (m *Manager) SwitchMode(region int, mode int64) error {
 	if err != nil {
 		return wrapErr(op, region, slot, err)
 	}
-	placed, err := bitstream.Relocate(m.dev, bs, m.slots[region][slot].Area)
+	placed, err := m.placedAt(bs, m.slots[region][slot].Area)
 	if err != nil {
 		return wrapErr(op, region, slot, err)
 	}
-	m.cm.Unload(m.taskName(region))
-	if err := m.loadFrames(op, region, slot, placed, m.taskName(region)); err != nil {
+	m.cm.Unload(m.tasks[region])
+	if err := m.loadFrames(op, region, slot, placed, m.tasks[region]); err != nil {
 		// An in-place switch overwrites the region's own frames, so a
 		// hard fault here has already torn the old mode down. Restore it
 		// from the stored image so the region keeps running what it ran
@@ -334,8 +352,8 @@ func (m *Manager) SwitchMode(region int, mode int64) error {
 		// good, and modelling a second-order fault on the recovery write
 		// adds nothing (the caller already gets the KindFaulted error).
 		if old, berr := m.bitstreamFor(region, m.mode[region]); berr == nil {
-			if restored, rerr := bitstream.Relocate(m.dev, old, m.slots[region][slot].Area); rerr == nil {
-				_ = m.cm.Load(restored, m.taskName(region))
+			if restored, rerr := m.placedAt(old, m.slots[region][slot].Area); rerr == nil {
+				_ = m.cm.Load(restored, m.tasks[region])
 			}
 		}
 		return err
@@ -379,25 +397,21 @@ func (m *Manager) Relocate(region, slot int) error {
 	if err != nil {
 		return wrapErr(op, region, slot, err)
 	}
-	moved, err := bitstream.Relocate(m.dev, bs, target)
+	moved, err := m.placedAt(bs, target)
 	if err != nil {
 		return wrapErr(op, region, slot, err)
 	}
 	// Configure the target first (it is reserved, so it must be free),
-	// then release the source — make-before-break. Only this first write
-	// goes through the fault plan: if it hard-fails the source copy is
-	// still live and the region is untouched. The ownership handover
-	// below rewrites frames whose content is already verified on the
-	// fabric, so it bypasses injection.
-	tmpTask := m.taskName(region) + ":moving"
+	// then release the source — make-before-break. Only this write goes
+	// through the fault plan: if it hard-fails the source copy is still
+	// live and the region is untouched. The handover then clears the
+	// source and relabels the verified target frames as the region's,
+	// without writing a frame.
+	tmpTask := m.tasks[region] + ":moving"
 	if err := m.loadFrames(op, region, slot, moved, tmpTask); err != nil {
 		return err
 	}
-	m.cm.Unload(m.taskName(region))
-	m.cm.Unload(tmpTask)
-	if err := m.cm.Load(moved, m.taskName(region)); err != nil {
-		return wrapErr(op, region, slot, err)
-	}
+	m.cm.Handover(tmpTask, m.tasks[region])
 	m.current[region] = slot
 	m.stats.Relocations++
 	return nil
@@ -411,8 +425,15 @@ func (m *Manager) Unload(region int) {
 	if m.current[region] < 0 {
 		return
 	}
-	m.cm.Unload(m.taskName(region))
+	m.cm.Unload(m.tasks[region])
 	m.current[region] = -1
+	for i, ri := range m.live {
+		if ri == region {
+			m.live[i] = m.live[len(m.live)-1]
+			m.live = m.live[:len(m.live)-1]
+			break
+		}
+	}
 }
 
 // checkRegion validates a region index against the live region set.
@@ -435,17 +456,18 @@ func (m *Manager) checkSlot(op string, region, slot int) error {
 }
 
 // occupiedBy reports whether area overlaps the current area of any live
-// region other than exclude.
+// region other than exclude, naming the lowest such region index.
 func (m *Manager) occupiedBy(area grid.Rect, exclude int) (region int, taken bool) {
-	for ri, cur := range m.current {
-		if ri == exclude || cur < 0 || m.removed[ri] {
+	region = -1
+	for _, ri := range m.live {
+		if ri == exclude || (taken && ri > region) {
 			continue
 		}
-		if m.slots[ri][cur].Area.Overlaps(area) {
-			return ri, true
+		if m.slots[ri][m.current[ri]].Area.Overlaps(area) {
+			region, taken = ri, true
 		}
 	}
-	return -1, false
+	return region, taken
 }
 
 // FullDeviceReconfig returns the simulated time of reconfiguring the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/grid"
@@ -333,5 +334,71 @@ func TestWorkloadReplay(t *testing.T) {
 	}
 	if st.CorruptedFrames != 0 {
 		t.Fatalf("corrupted frames: %+v", st)
+	}
+}
+
+// TestWorkloadDigestGolden pins a seeded replay's frame digest and
+// configuration counters, with and without injected faults (the heavy
+// mix exercises retries, readback repairs and schedule rollbacks). The
+// values were captured from the map-backed configuration memory the
+// dense plane replaced: representation changes must not move them.
+func TestWorkloadDigestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		faults string
+		digest uint32
+		placed int
+		want   reconfig.Stats
+	}{
+		{"off", 0xf06bae9e, 80, reconfig.Stats{Configurations: 80, Relocations: 43, FramesWritten: 48096}},
+		{"seed:7", 0xf06bae9e, 80, reconfig.Stats{Configurations: 80, Relocations: 43, FramesWritten: 53066,
+			FaultsInjected: 15, Retries: 15, CorruptionsRepaired: 10}},
+		{"seed:5,pass:70,transient:10,corrupt:10,stuck:10", 0xabdf6cdb, 67, reconfig.Stats{Configurations: 67,
+			Relocations: 43, FramesWritten: 50272, FaultsInjected: 101, Retries: 83, CorruptionsRepaired: 19, Rollbacks: 10}},
+	} {
+		t.Run(tc.faults, func(t *testing.T) {
+			plan, err := reconfig.ParseFaultPlan(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := newTestManager(t, Config{FragThreshold: 0.45, DefragCooldown: 4, Faults: plan})
+			for i, ev := range GenerateWorkload(WorkloadConfig{Seed: 3, Events: 150, Intensity: 0.6}) {
+				if _, err := m.Apply(ev); err != nil {
+					t.Fatalf("event %d: %v", i, err)
+				}
+			}
+			tc.want.BusyTime = time.Duration(tc.want.FramesWritten) * reconfig.DefaultFrameTime
+			if got := m.FrameDigest(); got != tc.digest {
+				t.Errorf("frame digest %#08x, want %#08x", got, tc.digest)
+			}
+			if got := m.ReconfigStats(); got != tc.want {
+				t.Errorf("reconfig stats %+v, want %+v", got, tc.want)
+			}
+			if st := m.Stats(); st.Placed != tc.placed || st.CorruptedFrames != 0 {
+				t.Errorf("placed %d corrupted %d, want %d and 0", st.Placed, st.CorruptedFrames, tc.placed)
+			}
+		})
+	}
+}
+
+// BenchmarkSessionApply times Manager.Apply per event over a fixed
+// seeded workload on FX70T (no store: the WAL is not timed). A fresh
+// session starts, untimed, whenever the stream runs out.
+func BenchmarkSessionApply(b *testing.B) {
+	events := GenerateWorkload(WorkloadConfig{Seed: 1001, Events: 4000})
+	cfg := Config{Device: device.VirtexFX70T(), Engine: &heuristic.Constructive{}, SolveBudget: 100 * time.Millisecond}
+	var m *Manager
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%len(events) == 0 {
+			b.StopTimer()
+			var err error
+			if m, err = New(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := m.Apply(events[i%len(events)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
