@@ -25,9 +25,12 @@ import (
 // read-only): mutating a cached Device through unsafe means would serve
 // stale candidate lists. It also means the cache retains a reference to
 // every keyed Device (up to candCacheCap of them) for the process
-// lifetime; per-request throwaway devices occupy slots without ever
-// producing hits, which the FIFO eviction bounds but does not avoid —
-// long-lived services should prefer the shared catalog devices.
+// lifetime, and a throwaway device decoded per request would occupy
+// slots without ever producing hits. Long-lived services therefore key
+// their solves on the model's canonical device: the daemon passes every
+// decoded and session device through device.Intern, so requests on one
+// model share its entries. One-shot callers (the CLI, offline benches)
+// keep their own devices and enumerate once per device, as before.
 //
 // Entries carry a sync.Once so concurrent requesters of the same key
 // share a single enumeration instead of duplicating the work and

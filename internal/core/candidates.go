@@ -41,6 +41,15 @@ func EnumerateCandidates(d *device.Device, req device.Requirements) []Candidate 
 	for i, cl := range classes {
 		classIdx[cl] = i
 	}
+	// Per tile type its class index, and per class its per-tile frames
+	// (the last type of a class wins, as in device.WastedFrames), so a
+	// window's waste follows from its class counts.
+	typeClass := make([]int, d.NumTypes())
+	frames := make([]int, len(classes))
+	for id, t := range d.Types() {
+		typeClass[id] = classIdx[t.Class]
+		frames[classIdx[t.Class]] = t.Frames
+	}
 
 	var out []Candidate
 	colCount := make([][]int, W) // per column: class tile counts for the current (y, h)
@@ -59,8 +68,7 @@ func EnumerateCandidates(d *device.Device, req device.Requirements) []Candidate 
 		for h := 1; y+h <= H; h++ {
 			row := y + h - 1
 			for c := 0; c < W; c++ {
-				cl := d.Type(d.TypeAt(c, row)).Class
-				colCount[c][classIdx[cl]]++
+				colCount[c][typeClass[d.TypeAt(c, row)]]++
 			}
 			// Two-pointer sweep: for each x, the minimal right edge is
 			// monotone non-decreasing.
@@ -86,7 +94,13 @@ func EnumerateCandidates(d *device.Device, req device.Requirements) []Candidate 
 				}
 				r := grid.Rect{X: x, Y: y, W: right - x, H: h}
 				if d.CanPlace(r) {
-					out = append(out, Candidate{Rect: r, Waste: d.WastedFrames(r, req)})
+					waste := 0
+					for k, n := range have {
+						if extra := n - need[k]; n > 0 && extra > 0 {
+							waste += extra * frames[k]
+						}
+					}
+					out = append(out, Candidate{Rect: r, Waste: waste})
 				}
 				// Slide the left edge out before the next x.
 				for k, v := range colCount[x] {

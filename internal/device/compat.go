@@ -1,6 +1,10 @@
 package device
 
-import "repro/internal/grid"
+import (
+	"sync"
+
+	"repro/internal/grid"
+)
 
 // Compatible reports whether two areas of the device are compatible in the
 // sense of Section II of the paper: same shape, same size, and the same
@@ -27,75 +31,61 @@ func (d *Device) Compatible(a, b grid.Rect) bool {
 	return true
 }
 
-// ColumnSignature returns the left-to-right sequence of column tile types
-// under rect. On a columnar device two placeable areas with equal heights
-// are compatible iff their signatures match, which is what the MILP
-// constraints of Section IV encode portion-wise.
-func (d *Device) ColumnSignature(rect grid.Rect) []TypeID {
-	sig := make([]TypeID, 0, rect.W)
-	rect.Columns(func(c int) {
-		sig = append(sig, d.TypeAt(c, rect.Y))
-	})
-	return sig
-}
-
 // CompatiblePlacements enumerates every legal placement compatible with
 // src: same shape, pairwise-identical tile types, inside the device, and
 // clear of forbidden areas. src itself is included when legal. Results are
-// ordered by (x, y).
+// ordered by (x, y); an src that is empty or leaves the device has none.
+//
+// Compatibility is a fixed property of the device, so the answer is
+// memoized per compatibility class: the first query of a class enumerates
+// it once and every member rectangle then answers from the same list. The
+// returned slice is shared between callers and MUST be treated as
+// read-only.
 func (d *Device) CompatiblePlacements(src grid.Rect) []grid.Rect {
-	var out []grid.Rect
-	if src.Empty() {
-		return out
+	if src.Empty() || !d.Bounds().ContainsRect(src) {
+		return nil
 	}
+	return d.places.get(d, src)
+}
+
+// placementIndex memoizes CompatiblePlacements. Compatibility is an
+// equivalence relation on in-bounds rectangles (same shape, same tile type
+// at every offset), so one enumeration answers every member of a class:
+// the table maps src and each member to the list it enumerated. It grows
+// only with the classes actually queried and holds at most one entry per
+// in-bounds rectangle (~31k on FX70T).
+type placementIndex struct {
+	mu      sync.Mutex
+	classes map[grid.Rect][]grid.Rect
+}
+
+func (ix *placementIndex) get(d *Device, src grid.Rect) []grid.Rect {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if list, ok := ix.classes[src]; ok {
+		return list
+	}
+	if ix.classes == nil {
+		ix.classes = make(map[grid.Rect][]grid.Rect)
+	}
+	list := d.enumerateCompatible(src)
+	ix.classes[src] = list
+	for _, m := range list {
+		ix.classes[m] = list
+	}
+	return list
+}
+
+// enumerateCompatible lists the legal placements compatible with the
+// in-bounds rectangle src, ordered by (x, y).
+func (d *Device) enumerateCompatible(src grid.Rect) []grid.Rect {
+	var out []grid.Rect
 	for x := 0; x+src.W <= d.w; x++ {
-		if !d.columnsMatch(src, x) {
-			continue
-		}
 		for y := 0; y+src.H <= d.h; y++ {
 			cand := grid.Rect{X: x, Y: y, W: src.W, H: src.H}
-			if !d.Compatible(src, cand) {
-				continue
+			if d.Compatible(src, cand) && !d.OverlapsForbidden(cand) {
+				out = append(out, cand)
 			}
-			if d.OverlapsForbidden(cand) {
-				continue
-			}
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-// columnsMatch is a cheap columnar pre-filter for CompatiblePlacements: it
-// compares the type of the first row of src's columns against the columns
-// starting at x. On columnar devices this decides compatibility for any y;
-// on general devices Compatible re-checks every tile.
-func (d *Device) columnsMatch(src grid.Rect, x int) bool {
-	for dc := 0; dc < src.W; dc++ {
-		if d.TypeAt(src.X+dc, src.Y) != d.TypeAt(x+dc, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// CompatibleXOffsets returns, for a columnar device, every column x at
-// which an area of width w whose signature equals sig can be placed
-// (ignoring forbidden areas and the vertical position). This is the
-// translation set exploited by the combinatorial engine.
-func (d *Device) CompatibleXOffsets(sig []TypeID) []int {
-	var out []int
-	w := len(sig)
-	for x := 0; x+w <= d.w; x++ {
-		ok := true
-		for i := 0; i < w; i++ {
-			if d.TypeAt(x+i, 0) != sig[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, x)
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/grid"
@@ -18,14 +19,26 @@ import (
 // A Device is immutable once constructed: all fields are unexported, no
 // method mutates them, and accessors that expose internal slices document
 // them as read-only. Callers must not modify those slices — parts of the
-// system (notably core's candidate cache) key derived data on Device
-// pointer identity and depend on this immutability.
+// system (notably core's candidate cache and the compatible-placement
+// index) key derived data on Device pointer identity and depend on this
+// immutability.
 type Device struct {
 	name      string
 	w, h      int
 	types     []TileType
 	cells     []TypeID // row-major: cells[r*w+c]
 	forbidden []grid.Rect
+
+	// Resource classes in sorted order, each tile type's index into
+	// them, and each class's per-tile frames (the last type of the class
+	// wins, as in FramesForRequirements' table).
+	classes     []Class
+	typeClass   []int
+	classFrames []int
+
+	// places memoizes CompatiblePlacements. It is a pointer so that
+	// copying a Device value (UnmarshalJSON does) copies no lock.
+	places *placementIndex
 }
 
 // Dimension caps: real devices are a few hundred tiles on a side, so
@@ -99,6 +112,21 @@ func New(name string, w, h int, types []TileType, cells []TypeID, forbidden []gr
 		types:     append([]TileType(nil), types...),
 		cells:     append([]TypeID(nil), cells...),
 		forbidden: append([]grid.Rect(nil), forbidden...),
+		classes:   make([]Class, 0, len(types)),
+		places:    &placementIndex{},
+	}
+	for _, t := range types {
+		if !slices.Contains(d.classes, t.Class) {
+			d.classes = append(d.classes, t.Class)
+		}
+	}
+	slices.Sort(d.classes)
+	ints := make([]int, len(types)+len(d.classes))
+	d.typeClass, d.classFrames = ints[:len(types):len(types)], ints[len(types):]
+	for id, t := range types {
+		k := slices.Index(d.classes, t.Class)
+		d.typeClass[id] = k
+		d.classFrames[k] = t.Frames
 	}
 	return d, nil
 }
@@ -189,21 +217,51 @@ func (d *Device) CountTiles(rect grid.Rect) Counts {
 
 // CountClasses tallies the tiles covered by rect per resource class.
 func (d *Device) CountClasses(rect grid.Rect) Requirements {
+	var buf [8]int
 	out := Requirements{}
-	for id, n := range d.CountTiles(rect) {
+	for k, n := range d.tallyClasses(rect, buf[:0]) {
 		if n > 0 {
-			out[d.types[id].Class] += n
+			out[d.classes[k]] = n
 		}
 	}
 	return out
+}
+
+// tallyClasses counts the tiles covered by rect per class index, reusing
+// buf's storage when it is large enough. Tiles outside the device are not
+// counted.
+func (d *Device) tallyClasses(rect grid.Rect, buf []int) []int {
+	var have []int
+	if cap(buf) >= len(d.classes) {
+		have = buf[:len(d.classes)]
+		clear(have)
+	} else {
+		have = make([]int, len(d.classes))
+	}
+	clipped, ok := rect.Intersect(d.Bounds())
+	if !ok {
+		return have
+	}
+	for r := clipped.Y; r < clipped.Y+clipped.H; r++ {
+		for _, id := range d.cells[r*d.w+clipped.X : r*d.w+clipped.X+clipped.W] {
+			have[d.typeClass[id]]++
+		}
+	}
+	return have
 }
 
 // FramesInRect returns the number of configuration frames covered by rect.
 // This is the "size of the configuration data" cost of allocating rect.
 func (d *Device) FramesInRect(rect grid.Rect) int {
 	frames := 0
-	for id, n := range d.CountTiles(rect) {
-		frames += n * d.types[id].Frames
+	clipped, ok := rect.Intersect(d.Bounds())
+	if !ok {
+		return 0
+	}
+	for r := clipped.Y; r < clipped.Y+clipped.H; r++ {
+		for _, id := range d.cells[r*d.w+clipped.X : r*d.w+clipped.X+clipped.W] {
+			frames += d.types[id].Frames
+		}
 	}
 	return frames
 }
@@ -245,9 +303,14 @@ func (d *Device) FramesForRequirements(rq Requirements) (int, error) {
 // requirements rq (coverage may exceed the requirements; the excess is
 // waste).
 func (d *Device) Satisfies(rect grid.Rect, rq Requirements) bool {
-	have := d.CountClasses(rect)
+	var buf [8]int
+	have := d.tallyClasses(rect, buf[:0])
 	for cl, need := range rq {
-		if have[cl] < need {
+		if need <= 0 {
+			continue
+		}
+		k, ok := slices.BinarySearch(d.classes, cl)
+		if !ok || have[k] < need {
 			return false
 		}
 	}
@@ -258,22 +321,11 @@ func (d *Device) Satisfies(rect grid.Rect, rq Requirements) bool {
 // of the class requirements rq. Excess tiles of a class waste that class's
 // per-tile frames; rect must satisfy rq for the result to be meaningful.
 func (d *Device) WastedFrames(rect grid.Rect, rq Requirements) int {
-	classFrames := map[Class]int{}
-	for _, t := range d.types {
-		classFrames[t.Class] = t.Frames
-	}
+	var buf [8]int
 	waste := 0
-	have := d.CountClasses(rect)
-	classes := make([]Class, 0, len(have))
-	for cl := range have {
-		classes = append(classes, cl)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	for _, cl := range classes {
-		n := have[cl]
-		extra := n - rq[cl]
-		if extra > 0 {
-			waste += extra * classFrames[cl]
+	for k, n := range d.tallyClasses(rect, buf[:0]) {
+		if extra := n - rq[d.classes[k]]; n > 0 && extra > 0 {
+			waste += extra * d.classFrames[k]
 		}
 	}
 	return waste

@@ -186,22 +186,6 @@ func TestCompatiblePlacementsRespectForbidden(t *testing.T) {
 	}
 }
 
-func TestCompatibleXOffsets(t *testing.T) {
-	d := VirtexFX70T()
-	// Signature of the matched-filter shape: C C C C D C (cols 4..9).
-	sig := d.ColumnSignature(grid.Rect{X: 4, Y: 0, W: 6, H: 1})
-	offsets := d.CompatibleXOffsets(sig)
-	want := []int{4, 24}
-	if len(offsets) != len(want) {
-		t.Fatalf("offsets = %v, want %v", offsets, want)
-	}
-	for i := range want {
-		if offsets[i] != want[i] {
-			t.Fatalf("offsets = %v, want %v", offsets, want)
-		}
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	orig := VirtexFX70T()
 	data, err := json.Marshal(orig)

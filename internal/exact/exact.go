@@ -564,11 +564,14 @@ func (st *searchState) groupSlots(g fcGroup) []grid.Rect {
 	return out
 }
 
-// slotsFor enumerates the legal compatible placements of region ri's
-// current rectangle (excluding that rectangle, which the region occupies).
-// Results are cached per candidate: the same candidates recur across
-// millions of search nodes. A filled entry is never nil, so nil marks one
-// not yet computed.
+// slotsFor returns the legal compatible placements of region ri's current
+// rectangle: the device's shared, read-only list, which includes that
+// rectangle itself. The region is set in the mask wherever slots are
+// counted or packed, so its own area never counts as a free slot. Lists
+// are cached per candidate, since the same candidates recur across
+// millions of search nodes. Candidates are legal placements, so a filled
+// entry (which holds at least the candidate) is never nil, and nil marks
+// one not yet looked up.
 func (st *searchState) slotsFor(ri int) []grid.Rect {
 	row := st.slots[ri]
 	if row == nil {
@@ -579,16 +582,8 @@ func (st *searchState) slotsFor(ri int) []grid.Rect {
 	if cached := row[idx]; cached != nil {
 		return cached
 	}
-	src := st.placed[ri]
-	all := st.dev.CompatiblePlacements(src)
-	out := make([]grid.Rect, 0, len(all))
-	for _, r := range all {
-		if r != src {
-			out = append(out, r)
-		}
-	}
-	row[idx] = out
-	return out
+	row[idx] = st.dev.CompatiblePlacements(st.placed[ri])
+	return row[idx]
 }
 
 // finishRegions runs after all regions are placed: solve the FC packing

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/diag"
 	"repro/internal/flight"
 	"repro/internal/guard"
@@ -485,6 +486,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid problem: "+err.Error())
 		return
 	}
+	// Each request decodes its own device; the canonical one carries the
+	// placement index and candidate-cache entries of earlier solves.
+	req.Problem.Device = device.Intern(req.Problem.Device)
 	engine := req.Engine
 	if engine == "" {
 		engine = s.cfg.DefaultEngine

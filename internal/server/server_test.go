@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/guard"
 )
 
@@ -456,4 +457,34 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestSolveMissesShareDeviceWork: every request decodes its own device,
+// and the daemon swaps it for the model's canonical one, so a second
+// cache miss on the same device JSON is served from the candidate lists
+// the first one enumerated.
+func TestSolveMissesShareDeviceWork(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, CacheSize: 8})
+	p := testProblem(t, 0)
+	cols := make([]device.TypeID, p.Device.Width())
+	for c := range cols {
+		cols[c] = p.Device.TypeAt(c, 0)
+	}
+	dev, err := device.NewColumnar("srvtest-intern", cols, p.Device.Height(), p.Device.Types(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Device = dev
+	const hits = "floorpland_candidate_cache_hits_total"
+	for seed := int64(1); seed <= 2; seed++ {
+		before := scrapeCounter(t, ts.Client(), ts.URL, hits)
+		code, resp := postSolve(t, ts.Client(), ts.URL, SolveRequest{Problem: p, Engine: "exact", Seed: seed})
+		if code != http.StatusOK || resp.Status != "ok" || resp.Cached {
+			t.Fatalf("seed %d: HTTP %d, status %q, cached %v (%s)", seed, code, resp.Status, resp.Cached, resp.Error)
+		}
+		gained := scrapeCounter(t, ts.Client(), ts.URL, hits) - before
+		if seed == 2 && gained < int64(len(p.Regions)) {
+			t.Fatalf("second miss gained %d candidate-cache hits, want at least %d", gained, len(p.Regions))
+		}
+	}
 }

@@ -218,13 +218,15 @@ type SessionEventsResponse struct {
 	Occupancy     float64               `json:"occupancy"`
 }
 
-// sessionDevice resolves a device model name from a create request.
+// sessionDevice resolves a device model name from a create request or a
+// recovered session to the model's canonical device, so every session on
+// one model shares its placement index and candidate lists.
 func sessionDevice(name string) (*device.Device, error) {
 	switch strings.ToLower(name) {
 	case "fx70t", "virtex5", "xc5vfx70t":
-		return device.VirtexFX70T(), nil
+		return device.Intern(device.VirtexFX70T()), nil
 	case "k160t", "kintex7", "xc7k160t":
-		return device.Kintex7K160T(), nil
+		return device.Intern(device.Kintex7K160T()), nil
 	default:
 		return nil, fmt.Errorf("unknown device %q (want fx70t or k160t)", name)
 	}
