@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -116,6 +117,15 @@ type searchState struct {
 	// groupReadyAt[gi] is the depth k at which every region of groups[gi]
 	// is placed — the first depth where its FC bound applies.
 	groupReadyAt []int
+	// openAt[k] lists, once regions order[0..k] are placed, every unplaced
+	// region with a net to a placed one, together with those nets (see
+	// openWire).
+	openAt [][]openRegion
+	// pairTail[k] is the separation bound, in doubled units, of the nets
+	// whose two endpoints are both unplaced at depth k.
+	pairTail []float64
+	// minW[ri] and minH[ri] are the least width and height over cands[ri].
+	minW, minH []int
 
 	mask   *grid.Mask
 	placed []grid.Rect // per region (by region index)
@@ -263,6 +273,7 @@ func (e *Engine) Solve(ctx context.Context, p *core.Problem, opts core.SolveOpti
 		}
 		st.groupReadyAt[gi] = ready
 	}
+	st.buildOpenNets(orderPos)
 
 	// Candidate enumeration and ordering above can take a while on a cold
 	// cache; re-check the context before committing to the search.
@@ -316,6 +327,10 @@ func (e *Engine) solveParallel(tmpl *searchState, workers int) (*core.Solution, 
 			groups:       tmpl.groups,
 			netsDoneBy:   tmpl.netsDoneBy,
 			groupReadyAt: tmpl.groupReadyAt,
+			openAt:       tmpl.openAt,
+			pairTail:     tmpl.pairTail,
+			minW:         tmpl.minW,
+			minH:         tmpl.minH,
 			mask:         grid.NewMask(tmpl.dev.Width(), tmpl.dev.Height()),
 			placed:       make([]grid.Rect, len(tmpl.p.Regions)),
 			placedIdx:    make([]int, len(tmpl.p.Regions)),
@@ -383,6 +398,147 @@ func buildGroups(p *core.Problem) []fcGroup {
 	return out
 }
 
+// openNet is a net from an unplaced region to the placed region v.
+type openNet struct {
+	v int
+	w float64
+}
+
+// openRegion is an unplaced region u and its nets to placed regions.
+type openRegion struct {
+	u    int
+	nets []openNet
+}
+
+// buildOpenNets fills the per-depth tables of openWire: openAt, pairTail,
+// minW and minH. orderPos[ri] is the depth at which region ri is placed.
+func (st *searchState) buildOpenNets(orderPos []int) {
+	n := len(st.order)
+	st.minW = make([]int, n)
+	st.minH = make([]int, n)
+	for ri, cands := range st.cands {
+		st.minW[ri], st.minH[ri] = cands[0].Rect.W, cands[0].Rect.H
+		for _, c := range cands[1:] {
+			st.minW[ri] = min(st.minW[ri], c.Rect.W)
+			st.minH[ri] = min(st.minH[ri], c.Rect.H)
+		}
+	}
+	// nbrs[u] holds u's nets ordered by the depth of the other endpoint,
+	// so the nets to placed regions at any depth are a prefix of it. The
+	// lists share one backing array, as do the openAt rows below.
+	deg := make([]int, n)
+	for _, net := range st.p.Nets {
+		deg[net.A]++
+		deg[net.B]++
+	}
+	flat := make([]openNet, 2*len(st.p.Nets))
+	nbrs := make([][]openNet, n)
+	for u, off := 0, 0; u < n; u++ {
+		nbrs[u] = flat[off : off : off+deg[u]]
+		off += deg[u]
+	}
+	st.pairTail = make([]float64, n)
+	for _, net := range st.p.Nets {
+		nbrs[net.A] = append(nbrs[net.A], openNet{v: net.B, w: net.Weight})
+		nbrs[net.B] = append(nbrs[net.B], openNet{v: net.A, w: net.Weight})
+		sep := net.Weight * float64(min(st.minW[net.A]+st.minW[net.B], st.minH[net.A]+st.minH[net.B]))
+		for k := 0; k < min(orderPos[net.A], orderPos[net.B]); k++ {
+			st.pairTail[k] += sep
+		}
+	}
+	for _, nets := range nbrs {
+		slices.SortStableFunc(nets, func(a, b openNet) int { return orderPos[a.v] - orderPos[b.v] })
+	}
+	placedNbrs := func(u, k int) int {
+		m := 0
+		for m < len(nbrs[u]) && orderPos[nbrs[u][m].v] <= k {
+			m++
+		}
+		return m
+	}
+	rows := 0
+	for k := range n {
+		for _, u := range st.order[k+1:] {
+			if placedNbrs(u, k) > 0 {
+				rows++
+			}
+		}
+	}
+	all := make([]openRegion, 0, rows)
+	st.openAt = make([][]openRegion, n)
+	for k := range n {
+		start := len(all)
+		for _, u := range st.order[k+1:] {
+			if m := placedNbrs(u, k); m > 0 {
+				all = append(all, openRegion{u: u, nets: nbrs[u][:m]})
+			}
+		}
+		st.openAt[k] = all[start:]
+	}
+}
+
+// openWire lower-bounds the wire length of the nets that are not complete
+// once regions order[0..k] are placed. Every such net falls in exactly one
+// of two kinds, and each kind gets its own bound:
+//
+//   - Nets with both endpoints unplaced: two non-overlapping rectangles
+//     are apart by at least their half widths summed along x, or their
+//     half heights along y, so a net costs at least
+//     w·min(minW_a+minW_b, minH_a+minH_b)/2 (pairTail).
+//   - Nets from an unplaced region u to placed regions v: the same
+//     separation argument, with v's actual size, bounds each net by
+//     w·min(W_v+minW_u, H_v+minH_u)/2. Together they also cost at least
+//     the weighted-median cost of the v centres: L1 distance separates by
+//     axis, and no position of u's centre does better than the median on
+//     each. Both bound the same nets, so the larger one is charged.
+//
+// Leaves cost at least the bound, so a subtree it prunes holds no layout
+// that beats the incumbent, and the search still returns the layout it
+// would return without the bound. Distances are in doubled coordinates,
+// like CenterX2; the result is in wire-length units.
+func (st *searchState) openWire(k int) float64 {
+	total := st.pairTail[k]
+	for _, o := range st.openAt[k] {
+		sep := 0.0
+		for _, n := range o.nets {
+			r := st.placed[n.v]
+			sep += n.w * float64(min(r.W+st.minW[o.u], r.H+st.minH[o.u]))
+		}
+		total += max(sep, st.medianCost(o.nets))
+	}
+	return total / 2
+}
+
+// medianCost returns min over points c of Σ w·|c − centre(v)|₁ for the
+// placed regions v of nets, in doubled coordinates. Per axis the cost is
+// convex and piecewise linear with breakpoints at the centres, so its
+// minimum lies at one of them; the lists are short, so every breakpoint
+// is tried.
+func (st *searchState) medianCost(nets []openNet) float64 {
+	if len(nets) < 2 {
+		return 0
+	}
+	bestX, bestY := math.Inf(1), math.Inf(1)
+	for _, ni := range nets {
+		ri := st.placed[ni.v]
+		x, y := 0.0, 0.0
+		for _, nj := range nets {
+			rj := st.placed[nj.v]
+			x += nj.w * float64(absInt(ri.CenterX2()-rj.CenterX2()))
+			y += nj.w * float64(absInt(ri.CenterY2()-rj.CenterY2()))
+		}
+		bestX, bestY = min(bestX, x), min(bestY, y)
+	}
+	return bestX + bestY
+}
+
+func absInt(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
 // flushObs reports the node/prune counts accumulated since the last
 // flush to the telemetry span.
 func (st *searchState) flushObs() {
@@ -434,8 +590,13 @@ func (st *searchState) outOfBudget() bool {
 
 // placeRegion is the region-level DFS. k indexes st.order; wasteSoFar
 // accumulates the waste of regions order[0:k]; wlSoFar is the exact wire
-// length of the nets completed by those placements (a valid lower bound
-// on the final wire length), maintained incrementally via netsDoneBy.
+// length of the nets completed by those placements, maintained
+// incrementally via netsDoneBy. A placed candidate's subtree is bounded
+// lexicographically: the FC misses already forced (fcBound), the waste so
+// far plus the least waste of the regions still to place (minTail), and
+// the completed nets' wire length plus a bound on every unfinished net
+// (openWire). Without the last term, every layout tied on the first two
+// tiers would be enumerated.
 func (st *searchState) placeRegion(k, wasteSoFar int, wlSoFar float64) {
 	if st.outOfBudget() {
 		return
@@ -471,19 +632,18 @@ func (st *searchState) placeRegion(k, wasteSoFar int, wlSoFar float64) {
 		for _, e := range st.netsDoneBy[k] {
 			n := &st.p.Nets[e]
 			a, b := st.placed[n.A], st.placed[n.B]
-			dx := a.CenterX2() - b.CenterX2()
-			if dx < 0 {
-				dx = -dx
-			}
-			dy := a.CenterY2() - b.CenterY2()
-			if dy < 0 {
-				dy = -dy
-			}
+			dx := absInt(a.CenterX2() - b.CenterX2())
+			dy := absInt(a.CenterY2() - b.CenterY2())
 			wl += n.Weight * float64(dx+dy) / 2
 		}
 		lb.wl = wl
 		feasible, missLB := st.fcBound(k + 1)
 		lb.miss = missLB
+		// The open nets' bound can only decide a tie on the first two
+		// tiers, so it is not computed otherwise.
+		if feasible && lb.miss == st.best.miss && lb.waste == st.best.waste {
+			lb.wl += st.openWire(k)
+		}
 		if feasible && lb.less(st.best) {
 			st.placeRegion(k+1, wasteSoFar+cand.Waste, wl)
 		} else {
