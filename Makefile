@@ -11,9 +11,10 @@
 #                  config-memory load/unload/relocate cost and the
 #                  session's per-event Apply cost
 #   make obs-bench telemetry + profile-label overhead benchmarks (bare vs
-#                  no-op vs recorder; labels off vs on)
+#                  no-op vs span-timing recorder; labels off vs on)
 #   make diag-smoke boot floorpland with chaos + fault injection, force an
-#                  anomaly, and verify a diagnostic bundle lands (the CI
+#                  anomaly, and verify one diagnostic bundle lands and the
+#                  recovered solve's span seconds reach /metrics (the CI
 #                  diag job; artifacts under DIAG_SMOKE_DIR)
 #   make sim-json  run the floorsim online-session driver and validate
 #                  SIM.json (tune with SIM_DEVICE/SIM_EVENTS/SIM_SEED/

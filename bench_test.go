@@ -450,7 +450,8 @@ func BenchmarkPublicAPI(b *testing.B) {
 //
 //	bare     nil Probe — the default path every pre-existing caller takes
 //	nop      the explicit zero-allocation no-op probe
-//	recorder the full recording probe (mutex + slice appends)
+//	recorder the full recording probe (mutex + slice appends, one clock
+//	         read per span open and end)
 //
 // Compare bare vs nop to see the instrumentation's intrinsic cost, and
 // recorder to see what the daemon pays per observed solve.
@@ -493,13 +494,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkProfileLabelOverhead quantifies the goroutine-label
 // attribution layer's cost on the same exact solve (DESIGN.md's
-// "Continuous profiling & diagnostics" section promises the disabled
+// "Profiling & diagnostics" section promises the disabled
 // path stays under 2% of solve time):
 //
 //	bare       nil Probe, labeling globally off — the seed baseline
 //	labels-off the diag.LabelProbe wrapper with labeling disabled, the
-//	           path every solve takes when neither -profile-every nor
-//	           -diag-dir is set
+//	           path every solve takes when -diag-dir is not set
 //	labels-on  labeling enabled: pprof label sets swapped per span
 //
 // Compare bare vs labels-off for the disabled-path regression gate;

@@ -21,11 +21,13 @@
 //	GET  /metrics           counters, per-engine latency/work/incumbent-time
 //	                        histograms; when the portfolio engine runs, also
 //	                        per-member race/win/latency counters
-//	GET  /debug/solves      recent solve records (flight recorder) + per-engine
-//	                        distribution summaries; ?n= bounds the list
-//	GET  /debug/solves/{id} one solve record with its full telemetry trace
-//	GET  /debug/events      wide-event pipeline counters + the kept event
-//	                        tail (tail-sampled); ?n= bounds the list
+//	GET  /debug/solves      recent flight records (solves, session batches,
+//	                        recoveries) + per-engine distribution summaries;
+//	                        ?n= bounds the list, ?kind= and ?outcome= filter it
+//	GET  /debug/solves/{id} one record with its full telemetry trace
+//	GET  /debug/events      wide-event export counters + the same recent
+//	                        records, traces stripped; same ?n=, ?kind=,
+//	                        ?outcome=
 //	GET  /debug/slo         per-objective error budgets, burn rates and
 //	                        alert states
 //	GET  /debug/bundle      capture a diagnostic bundle on demand and
@@ -35,9 +37,10 @@
 // Logs go to stderr at -log-level (default info) in -log-format (default
 // text; json for machine ingestion).
 //
-// -events FILE exports one JSON line per kept wide event (every solve
-// and session batch that survives tail sampling) to a size-rotated file;
-// without it events stay in the in-memory tail behind /debug/events.
+// -events FILE exports one JSON line per kept wide event (every flight
+// record — solve, session batch or recovery — that survives tail
+// sampling, trace stripped) to a size-rotated file; without it the
+// records stay in the flight ring behind /debug/events only.
 //
 // -session-dir makes online-placement sessions durable: every applied
 // event batch is written to a per-session write-ahead log before the
@@ -47,13 +50,13 @@
 // through an injected-fault plan (resilience testing; see
 // reconfig.ParseFaultPlan).
 //
-// -profile-every enables the continuous profiler: a short CPU profile
-// each interval, attributed per engine/phase via goroutine labels into
-// the floorpland_profile_* metric families. -diag-dir arms anomaly
+// Per-engine/phase time comes from the recorded span durations
+// (floorpland_span_seconds_total on /metrics). -diag-dir arms anomaly
 // triggers (panic, invalid solution, budget overrun, SLO alert,
 // reconfiguration rollback) that snapshot rate-limited diagnostic
-// bundles (bundle-<ts>.tar.gz) there; -chaos injects scripted or
-// seeded solve-path faults to fire-drill exactly that machinery.
+// bundles (bundle-<ts>.tar.gz) there, each with a -profile-cpu window
+// of engine-labelled CPU profile; -chaos injects scripted or seeded
+// solve-path faults to fire-drill exactly that machinery.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops accepting
 // requests, drains in-flight solves and cancels queued ones; with
@@ -113,19 +116,17 @@ func run() error {
 		sessionDir   = flag.String("session-dir", "", "persist sessions (WAL + snapshots) under this directory and recover them on start (empty = in-memory only)")
 		sessionSnap  = flag.Int("session-snapshot-every", 0, "WAL records between session snapshots (0 = 64)")
 		faultSpec    = flag.String("faults", "", "reconfiguration fault-injection plan, e.g. seed:7 or script:transient,pass (empty disables; for resilience testing)")
-		flightSize   = flag.Int("flight", 256, "solve records kept in the flight recorder ring (/debug/solves)")
+		flightSize   = flag.Int("flight", 256, "records kept in the flight recorder ring (/debug/solves, /debug/events)")
 		flightDump   = flag.String("flight-dump", "floorpland-flight.json", "file the flight ring is dumped to on SIGUSR1")
-		eventsPath   = flag.String("events", "", "export wide events as JSON lines to this file (empty keeps them in-memory only)")
+		eventsPath   = flag.String("events", "", "export wide events (sampled flight records) as JSON lines to this file (empty exports nothing)")
 		eventsMax    = flag.Int64("events-max-bytes", 0, "rotate the events file past this size (0 = 8 MiB)")
 		eventsKeep   = flag.Int("events-keep", 0, "rotated events files kept (0 = 2)")
 		eventsSample = flag.Float64("events-sample", 0, "keep probability for unremarkable events; errors, budget breaches and the slow tail are always kept (0 = 0.1, 1 keeps everything)")
-		eventsTail   = flag.Int("events-tail", 0, "wide events kept in memory behind /debug/events (0 = 256)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		diagDir      = flag.String("diag-dir", "", "write anomaly-triggered diagnostic bundles (bundle-<ts>.tar.gz) to this directory (empty disables triggers; /debug/bundle still works)")
 		diagKeep     = flag.Int("diag-keep", 0, "diagnostic bundles kept in -diag-dir before rotation (0 = 8)")
 		diagInterval = flag.Duration("diag-min-interval", 0, "minimum time between anomaly-triggered bundles (0 = 1m)")
-		profEvery    = flag.Duration("profile-every", 0, "continuous-profiler cadence: a short CPU profile each interval, attributed per engine/phase into floorpland_profile_* metrics (0 disables)")
-		profCPU      = flag.Duration("profile-cpu", 0, "CPU window per profiler cycle and bundle capture (0 = 250ms)")
+		profCPU      = flag.Duration("profile-cpu", 0, "CPU-profile window of each diagnostic bundle capture (0 = 250ms)")
 		chaosSpec    = flag.String("chaos", "", "solve-path chaos injection, e.g. seed:7 or script:panic,pass (empty disables; fire drills for the guard/diag layers)")
 	)
 	flag.Parse()
@@ -181,12 +182,10 @@ func run() error {
 		SessionFaults:        faultPlan,
 		FlightSize:           *flightSize,
 		EventSink:            eventSink,
-		EventTailSize:        *eventsTail,
 		EventSampleRate:      *eventsSample,
 		DiagDir:              *diagDir,
 		DiagKeep:             *diagKeep,
 		DiagMinInterval:      *diagInterval,
-		ProfileEvery:         *profEvery,
 		ProfileCPUDuration:   *profCPU,
 		Chaos:                chaosCfg,
 		Logger:               log,
@@ -209,7 +208,7 @@ func run() error {
 	}()
 
 	// SIGUSR2 snapshots a full diagnostic bundle — CPU profile, heap and
-	// goroutine dumps, flight ring, events tail, SLO/breaker state — into
+	// goroutine dumps, flight ring, SLO/breaker state, metrics — into
 	// -diag-dir, bypassing the anomaly triggers' rate limit.
 	usr2 := make(chan os.Signal, 1)
 	signal.Notify(usr2, syscall.SIGUSR2)

@@ -21,8 +21,34 @@ import (
 // ManifestSchema versions the bundle layout.
 const ManifestSchema = "floorpland-diag/1"
 
+// cpuMu serializes CPU-profile capture: the runtime allows only one
+// StartCPUProfile at a time process-wide, and every bundler in the
+// process wants one.
+var cpuMu sync.Mutex
+
+// CaptureCPUProfile records a CPU profile for d (or until cancel
+// closes) and returns the gzipped protobuf bytes. It serializes with
+// every other capture in the process; if something outside this package
+// holds the profiler, it returns an error rather than waiting for it.
+func CaptureCPUProfile(d time.Duration, cancel <-chan struct{}) ([]byte, error) {
+	cpuMu.Lock()
+	defer cpuMu.Unlock()
+	var buf bytes.Buffer
+	if err := pprof.StartCPUProfile(&buf); err != nil {
+		return nil, fmt.Errorf("diag: start cpu profile: %w", err)
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-cancel:
+	}
+	pprof.StopCPUProfile()
+	return buf.Bytes(), nil
+}
+
 // Artifact is one extra file a bundle host contributes (flight ring,
-// event tail, SLO state, ...). Write must be safe to call from the
+// SLO state, metrics, ...). Write must be safe to call from the
 // bundler's worker goroutine.
 type Artifact struct {
 	Name  string

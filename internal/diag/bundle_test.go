@@ -134,9 +134,7 @@ func TestBundleTriggerRateLimitAndContents(t *testing.T) {
 		t.Fatalf("no manifest note for failed artifact: %v", man.Notes)
 	}
 	if cpu, ok := files["cpu.pprof"]; ok {
-		if _, err := ParseProfile(cpu); err != nil {
-			t.Fatalf("cpu.pprof unparseable: %v", err)
-		}
+		assertCPUProfile(t, pprofTool(t, cpu, "-raw"))
 	} else if len(man.Notes) == 0 {
 		t.Fatal("bundle has neither cpu.pprof nor a skip note")
 	}
@@ -197,4 +195,14 @@ func TestTriggerAfterCloseIsSafe(t *testing.T) {
 	b.Close()
 	b.Close() // idempotent
 	b.Trigger("panic", "after close")
+}
+
+// TestCaptureCPUProfileIsValidPprof: a real capture is a CPU profile the
+// toolchain's pprof reads.
+func TestCaptureCPUProfileIsValidPprof(t *testing.T) {
+	raw, err := CaptureCPUProfile(50*time.Millisecond, nil)
+	if err != nil {
+		t.Skipf("cpu profiling unavailable: %v", err)
+	}
+	assertCPUProfile(t, pprofTool(t, raw, "-raw"))
 }

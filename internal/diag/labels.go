@@ -133,9 +133,6 @@ func NewLabelProbe(inner obs.Probe) *LabelProbe {
 // goroutine to ctx's labels rather than to none.
 func (p *LabelProbe) Bind(ctx context.Context) { p.base.Store(ctx) }
 
-// Inner returns the wrapped probe (for callers that need the recorder).
-func (p *LabelProbe) Inner() obs.Probe { return p.inner }
-
 // Span opens the inner span and, when labeling is active and the probe
 // is bound, relabels the calling goroutine for the span's duration.
 func (p *LabelProbe) Span(name string) obs.Span {

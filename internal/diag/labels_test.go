@@ -3,6 +3,7 @@ package diag
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -135,31 +136,21 @@ func TestProfileCarriesEngineLabels(t *testing.T) {
 	if err != nil {
 		t.Skipf("cpu profiling unavailable: %v", err)
 	}
-	p, err := ParseProfile(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Samples) == 0 {
+	if !assertCPUProfile(t, pprofTool(t, raw, "-raw")) {
 		t.Skip("no samples captured (starved CI runner)")
 	}
-	var labeled *Sample
-	for i := range p.Samples {
-		if p.Samples[i].Labels[LabelEngine] == "spin-test" {
-			labeled = &p.Samples[i]
-			break
+	// Restricted to the spinners' samples, the tag report must show the
+	// whole label set the solve and its span applied.
+	tags := pprofTags(pprofTool(t, raw, "-tags", "-tagfocus="+LabelEngine+"=spin-test"))
+	want := map[string]string{
+		LabelEngine: "spin-test",
+		LabelPhase:  "hot",
+		LabelDigest: "deadbeef",
+		LabelJoin:   LabelSet{Engine: "spin-test", Endpoint: "/test", Digest: "deadbeefcafe"}.JoinDigest(),
+	}
+	for key, value := range want {
+		if !slices.Contains(tags[key], value) {
+			t.Errorf("no engine=spin-test sample carries %s=%s (tags %v)", key, value, tags)
 		}
-	}
-	if labeled == nil {
-		t.Fatalf("no sample carries engine=spin-test; got %d samples", len(p.Samples))
-	}
-	if labeled.Labels[LabelPhase] != "hot" {
-		t.Fatalf("phase label = %q, want hot (labels %v)", labeled.Labels[LabelPhase], labeled.Labels)
-	}
-	if labeled.Labels[LabelDigest] != "deadbeef" {
-		t.Fatalf("digest label = %q, want deadbeef", labeled.Labels[LabelDigest])
-	}
-	want := LabelSet{Engine: "spin-test", Endpoint: "/test", Digest: "deadbeefcafe"}.JoinDigest()
-	if labeled.Labels[LabelJoin] != want {
-		t.Fatalf("join label = %q, want %q", labeled.Labels[LabelJoin], want)
 	}
 }

@@ -6,8 +6,9 @@
 // library-level Solve into the shared Default ring, so any process
 // embedding the library can ask for its recent solve history. The
 // service daemon keeps its own ring (complete with cache-hit records,
-// breaker snapshots and traces) behind GET /debug/solves and the
-// SIGUSR1 JSON dump.
+// session batches, breaker snapshots and traces) behind GET
+// /debug/solves, GET /debug/events and the SIGUSR1 JSON dump; the
+// daemon's wide-event export writes the same records, traces stripped.
 //
 // Recording is lock-cheap: one uncontended mutex acquisition and a
 // struct copy into a preallocated slot — no allocation on the record
@@ -136,6 +137,27 @@ type Record struct {
 	Session *SessionStats `json:"session,omitempty"`
 	// Err carries the failure text for non-ok outcomes.
 	Err string `json:"err,omitempty"`
+	// Kind discriminates the record in the daemon: "solve", "session"
+	// (an event batch) or "recovery" (a session replayed at startup).
+	Kind string `json:"kind,omitempty"`
+	// Endpoint is the serving endpoint the record came through
+	// ("/v1/solve", "/v1/sessions/events", "startup").
+	Endpoint string `json:"endpoint,omitempty"`
+	// RequestID is the HTTP request ID (sanitized), correlating the
+	// record with request logs.
+	RequestID string `json:"request_id,omitempty"`
+	// BudgetMS is the solve's time budget in milliseconds (0 when the
+	// record has no budget, e.g. session batches).
+	BudgetMS float64 `json:"budget_ms,omitempty"`
+	// BudgetOverrunMS is how far the duration exceeded the budget plus
+	// the deadline-contract epsilon; 0 when compliant. A positive value
+	// marks a deadline-contract breach and forces the record through
+	// export sampling.
+	BudgetOverrunMS float64 `json:"budget_overrun_ms,omitempty"`
+	// SampleReason records why the record survived the export's tail
+	// sampling ("error", "budget", "slow" or "random"); empty when it
+	// was sampled out or never offered for export.
+	SampleReason string `json:"sample_reason,omitempty"`
 	// Trace is the solve's recorded telemetry, when a recording probe
 	// observed it. Cached records carry the original solve's trace.
 	Trace *obs.Trace `json:"trace,omitempty"`

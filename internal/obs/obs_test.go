@@ -185,3 +185,68 @@ func TestSlackUntil(t *testing.T) {
 		t.Errorf("SlackUntil(-1h) = %v", got)
 	}
 }
+
+// TestSpanDurations pins the span timing the recorder keeps: every End
+// record carries its opening's start, start <= end, the duration is end
+// minus start, and a span that never ends has no start or duration in
+// the trace.
+func TestSpanDurations(t *testing.T) {
+	r := NewRecorder()
+	outer := r.Span("milp-o")
+	inner := r.Span("milp-o/waste")
+	time.Sleep(2 * time.Millisecond)
+	inner.End(OutcomeSolved, 0)
+	r.Span("portfolio/straggler") // never ends
+	outer.End(OutcomeProven, 0)
+
+	ends := r.Ends()
+	if len(ends) != 2 {
+		t.Fatalf("ends = %+v, want 2", ends)
+	}
+	for _, e := range ends {
+		if e.Start < 0 || e.Start > e.At {
+			t.Errorf("%s: start %v not in [0, end %v]", e.Span, e.Start, e.At)
+		}
+		if e.Duration() != e.At-e.Start {
+			t.Errorf("%s: duration %v != end-start %v", e.Span, e.Duration(), e.At-e.Start)
+		}
+	}
+	waste, _ := r.EndOf("milp-o/waste")
+	engine, _ := r.EndOf("milp-o")
+	if waste.Duration() < 2*time.Millisecond {
+		t.Errorf("waste duration %v shorter than its 2ms sleep", waste.Duration())
+	}
+	if waste.Start < engine.Start || waste.At > engine.At {
+		t.Errorf("waste [%v, %v] outside its engine span [%v, %v]", waste.Start, waste.At, engine.Start, engine.At)
+	}
+
+	spans := map[string]TraceSpan{}
+	for _, ts := range r.Trace().Spans {
+		spans[ts.Name] = ts
+	}
+	for _, name := range []string{"milp-o", "milp-o/waste"} {
+		ts := spans[name]
+		if ts.DurationMS <= 0 || ts.StartMS > ts.EndMS {
+			t.Errorf("%s trace span timing = start %g end %g duration %g", name, ts.StartMS, ts.EndMS, ts.DurationMS)
+		}
+		if d := ts.EndMS - ts.StartMS; d-ts.DurationMS > 1e-9 || ts.DurationMS-d > 1e-9 {
+			t.Errorf("%s duration %g != end-start %g", name, ts.DurationMS, d)
+		}
+	}
+	straggler, ok := spans["portfolio/straggler"]
+	if !ok {
+		t.Fatal("never-ended span missing from the trace")
+	}
+	if straggler.StartMS != 0 || straggler.DurationMS != 0 || straggler.EndMS != 0 {
+		t.Errorf("never-ended span has timing %+v", straggler)
+	}
+	data, err := json.Marshal(straggler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"start_ms", "duration_ms"} {
+		if strings.Contains(string(data), key) {
+			t.Errorf("never-ended span JSON carries %s: %s", key, data)
+		}
+	}
+}

@@ -22,13 +22,19 @@ type IncumbentPoint struct {
 	At        time.Duration
 }
 
-// SpanEnd is a span's terminal record.
+// SpanEnd is a span's terminal record. Start and At are relative to
+// recording start: Start is when this opening of the span began, At when
+// it ended, so At-Start is the span's duration.
 type SpanEnd struct {
 	Span    string
 	Outcome Outcome
 	Slack   time.Duration
+	Start   time.Duration
 	At      time.Duration
 }
+
+// Duration is how long the span ran.
+func (e SpanEnd) Duration() time.Duration { return e.At - e.Start }
 
 // Recorder is a Probe that aggregates counters per span and timestamps
 // incumbent/end events. Safe for concurrent use; one Recorder observes
@@ -54,11 +60,13 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// Span implements Probe. Spans with the same name share one counter set.
+// Span implements Probe. Spans with the same name share one counter set;
+// each opening keeps its own start time for its End record.
 func (r *Recorder) Span(name string) Span {
+	start := time.Since(r.start)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return span{r: r, name: name, counters: r.countersLocked(name)}
+	return span{r: r, name: name, counters: r.countersLocked(name), start: start}
 }
 
 // countersLocked returns (creating if needed) the named span's counters.
@@ -76,6 +84,7 @@ type span struct {
 	r        *Recorder
 	name     string
 	counters *[numCounters]int64
+	start    time.Duration
 }
 
 func (s span) Add(c Counter, delta int64) {
@@ -102,13 +111,15 @@ func (s span) Incumbent(objective float64) {
 }
 
 func (s span) End(outcome Outcome, slack time.Duration) {
+	at := time.Since(s.r.start)
 	s.r.mu.Lock()
 	defer s.r.mu.Unlock()
 	s.r.ends = append(s.r.ends, SpanEnd{
 		Span:    s.name,
 		Outcome: outcome,
 		Slack:   slack,
-		At:      time.Since(s.r.start),
+		Start:   s.start,
+		At:      at,
 	})
 }
 
@@ -238,6 +249,12 @@ type TraceSpan struct {
 	SlackMS float64 `json:"slack_ms,omitempty"`
 	// EndMS is when the span ended, relative to recording start.
 	EndMS float64 `json:"end_ms,omitempty"`
+	// StartMS is when the span opened, relative to recording start, and
+	// DurationMS how long it ran (EndMS-StartMS). Both are omitted for
+	// spans that never ended. A span opened more than once reports its
+	// first ended opening, like Outcome.
+	StartMS    float64 `json:"start_ms,omitempty"`
+	DurationMS float64 `json:"duration_ms,omitempty"`
 	// Counters are the span's nonzero counter totals.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
@@ -273,6 +290,8 @@ func (r *Recorder) Trace() *Trace {
 				ts.Outcome = string(e.Outcome)
 				ts.SlackMS = durMS(e.Slack)
 				ts.EndMS = durMS(e.At)
+				ts.StartMS = durMS(e.Start)
+				ts.DurationMS = durMS(e.Duration())
 				break
 			}
 		}

@@ -12,12 +12,12 @@ import (
 )
 
 // DebugSolvesResponse is the GET /debug/solves reply: the most recent
-// solve records (newest first, traces stripped for size — fetch
+// flight records (newest first, traces stripped for size — fetch
 // /debug/solves/{seq} for one record's full trace) plus the per-engine
 // distribution summaries.
 type DebugSolvesResponse struct {
-	// Total counts solve records ever appended; Capacity is the ring
-	// size. Records holds min(n, held) most-recent entries.
+	// Total counts records ever appended; Capacity is the ring size.
+	// Records holds min(n, held) most-recent entries.
 	Total    int64           `json:"total"`
 	Capacity int             `json:"capacity"`
 	Records  []flight.Record `json:"records"`
@@ -29,25 +29,54 @@ type DebugSolvesResponse struct {
 // defaultDebugSolves bounds the list reply when no ?n= is given.
 const defaultDebugSolves = 50
 
-// handleDebugSolves serves GET /debug/solves?n=: the recent solve list.
-func (s *Server) handleDebugSolves(w http.ResponseWriter, r *http.Request) {
+// recentRecords is the listing /debug/solves and /debug/events share:
+// the newest ?n= flight records (default 50), newest first, traces
+// stripped, narrowed by ?kind= ("solve", "session", "recovery") and
+// ?outcome= ("panic", "no_solution", ...) when given — filters scan the
+// whole ring and keep the newest n matches. ok is false when the request
+// was rejected and the error reply is already written.
+func (s *Server) recentRecords(w http.ResponseWriter, r *http.Request) (records []flight.Record, ok bool) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+		return nil, false
 	}
+	q := r.URL.Query()
 	n := defaultDebugSolves
-	if raw := r.URL.Query().Get("n"); raw != "" {
+	if raw := q.Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
 			s.writeError(w, http.StatusBadRequest, "n must be a positive integer")
-			return
+			return nil, false
 		}
 		n = v
 	}
-	records := s.flight.Last(n)
+	kind, outcome := q.Get("kind"), q.Get("outcome")
+	if kind == "" && outcome == "" {
+		records = s.flight.Last(n)
+	} else {
+		records = []flight.Record{}
+		for _, rec := range s.flight.Last(0) {
+			if (kind == "" || rec.Kind == kind) && (outcome == "" || rec.Outcome == outcome) {
+				records = append(records, rec)
+				if len(records) == n {
+					break
+				}
+			}
+		}
+	}
 	for i := range records {
-		records[i].Trace = nil // the list stays light; Get serves the trace
+		records[i].Trace = nil // the list stays light; /debug/solves/{seq} serves the trace
+	}
+	return records, true
+}
+
+// handleDebugSolves serves GET /debug/solves: the recent record list
+// plus the per-engine distributions.
+func (s *Server) handleDebugSolves(w http.ResponseWriter, r *http.Request) {
+	records, ok := s.recentRecords(w, r)
+	if !ok {
+		return
 	}
 	s.writeJSON(w, http.StatusOK, DebugSolvesResponse{
 		Total:    s.flight.Total(),
@@ -79,57 +108,25 @@ func (s *Server) handleDebugSolve(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, rec)
 }
 
-// DebugEventsResponse is the GET /debug/events reply: the exporter's
-// pipeline counters plus the most recent kept wide events (newest
-// first). The tail holds only events that survived sampling — the same
-// set a configured sink receives.
+// DebugEventsResponse is the GET /debug/events reply: the wide-event
+// exporter's pipeline counters plus the recent flight records (newest
+// first, traces stripped) — the same records the export writes. A
+// record's sample_reason says why it was exported; records without one
+// were sampled out.
 type DebugEventsResponse struct {
-	Stats  telemetry.Stats   `json:"stats"`
-	Events []telemetry.Event `json:"events"`
+	Stats  telemetry.Stats `json:"stats"`
+	Events []flight.Record `json:"events"`
 }
 
-// handleDebugEvents serves GET /debug/events?n=&kind=&outcome=: the
-// kept wide-event tail, optionally filtered by event kind ("solve",
-// "session") and/or outcome ("panic", "no_solution", ...). Filters
-// scan the whole retained tail and return the newest n matches.
+// handleDebugEvents serves GET /debug/events?n=&kind=&outcome=.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
+	records, ok := s.recentRecords(w, r)
+	if !ok {
 		return
-	}
-	n := defaultDebugSolves
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			s.writeError(w, http.StatusBadRequest, "n must be a positive integer")
-			return
-		}
-		n = v
-	}
-	kind := r.URL.Query().Get("kind")
-	outcome := r.URL.Query().Get("outcome")
-	var events []telemetry.Event
-	if kind == "" && outcome == "" {
-		events = s.events.Tail(n)
-	} else {
-		events = make([]telemetry.Event, 0, n)
-		for _, ev := range s.events.Tail(0) { // newest first
-			if kind != "" && ev.Kind != kind {
-				continue
-			}
-			if outcome != "" && ev.Outcome != outcome {
-				continue
-			}
-			events = append(events, ev)
-			if len(events) == n {
-				break
-			}
-		}
 	}
 	s.writeJSON(w, http.StatusOK, DebugEventsResponse{
 		Stats:  s.events.Stats(),
-		Events: events,
+		Events: records,
 	})
 }
 

@@ -14,28 +14,35 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/slo"
-	"repro/internal/telemetry"
 )
 
-// triggerDiag inspects one finished (non-cached) solve for anomaly
-// bundle triggers: recovered panics, validation-rejected solutions and
-// contract-breaching budget overruns each snapshot a diagnostic bundle
-// (rate-limited; see diag.Bundler).
-func (s *Server) triggerDiag(frec flight.Record, ev telemetry.Event) {
-	if s.bundler == nil || frec.Cached {
+// triggerDiag inspects one finished record for anomaly bundle triggers:
+// recovered panics, validation-rejected solutions and contract-breaching
+// budget overruns of fresh solves, and transactional defrag rollbacks of
+// session batches, each snapshot a diagnostic bundle (rate-limited; see
+// diag.Bundler).
+func (s *Server) triggerDiag(rec flight.Record) {
+	if rec.Session != nil && rec.Session.Rollbacks > 0 {
+		// A mid-schedule hard fault just unwound live relocations —
+		// snapshot the evidence.
+		s.bundler.Trigger("reconfig-rollback", fmt.Sprintf(
+			"session %s seq %d rollbacks %d retries %d",
+			rec.Key, rec.Seq, rec.Session.Rollbacks, rec.Session.Retries))
+	}
+	if rec.Kind != "solve" || rec.Cached {
 		return
 	}
 	note := fmt.Sprintf("engine %s seq %d digest %s ldig %s",
-		frec.Engine, frec.Seq, frec.RequestDigest, frec.LabelDigest)
-	switch frec.Outcome {
+		rec.Engine, rec.Seq, rec.RequestDigest, rec.LabelDigest)
+	switch rec.Outcome {
 	case string(obs.OutcomePanic):
 		s.bundler.Trigger("panic", note)
 	case string(obs.OutcomeInvalid):
 		s.bundler.Trigger("invalid-solution", note)
 	default:
-		if ev.BudgetOverrunMS > 0 {
+		if rec.BudgetOverrunMS > 0 {
 			s.bundler.Trigger("budget-overrun",
-				fmt.Sprintf("%s overrun %.0fms past budget+epsilon", note, ev.BudgetOverrunMS))
+				fmt.Sprintf("%s overrun %.0fms past budget+epsilon", note, rec.BudgetOverrunMS))
 		}
 	}
 }
@@ -48,21 +55,12 @@ type diagSLOState struct {
 }
 
 // diagArtifacts assembles the server-state files a diagnostic bundle
-// carries beyond the runtime dumps: flight ring, wide-event tail, SLO
-// and breaker state, the full metrics exposition, and (when the
-// continuous profiler runs) its attribution stats and latest raw
-// profile.
+// carries beyond the runtime dumps: the flight ring (every recent solve,
+// session batch and recovery record, traces included), SLO and breaker
+// state, and the full metrics exposition (exporter counters included).
 func (s *Server) diagArtifacts() []diag.Artifact {
 	arts := []diag.Artifact{
 		{Name: "flight.json", Write: s.flight.WriteJSON},
-		{Name: "events.json", Write: func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(DebugEventsResponse{
-				Stats:  s.events.Stats(),
-				Events: s.events.Tail(0),
-			})
-		}},
 		{Name: "slo.json", Write: func(w io.Writer) error {
 			// Evaluate advances the edge-triggered alert state; a nested
 			// slo-alert trigger is absorbed by the bundler's rate limit,
@@ -87,19 +85,6 @@ func (s *Server) diagArtifacts() []diag.Artifact {
 			enc.SetIndent("", "  ")
 			return enc.Encode(s.breakers.Snapshot())
 		}})
-	}
-	if s.sampler != nil {
-		arts = append(arts, diag.Artifact{Name: "profile_stats.json", Write: func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(s.sampler.Stats())
-		}})
-		if ring := s.sampler.LatestCPUProfile(); ring != nil {
-			arts = append(arts, diag.Artifact{Name: "cpu_ring.pprof", Write: func(w io.Writer) error {
-				_, err := w.Write(ring)
-				return err
-			}})
-		}
 	}
 	return arts
 }

@@ -6,9 +6,11 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -151,19 +153,16 @@ func TestPanicProducesExactlyOneBundle(t *testing.T) {
 	if manifest.Meta["service"] != "floorpland" {
 		t.Fatalf("manifest meta = %v, want service=floorpland", manifest.Meta)
 	}
-	for _, name := range []string{"cpu.pprof", "heap.pprof", "goroutines.txt", "flight.json", "events.json", "slo.json", "metrics.prom"} {
+	for _, name := range []string{"cpu.pprof", "heap.pprof", "goroutines.txt", "flight.json", "slo.json", "metrics.prom"} {
 		if _, ok := files[name]; !ok {
 			t.Errorf("bundle lacks %s (has %v)", name, manifest.Contents)
 		}
 	}
 
-	// The CPU profile must be a real parseable profile.
-	prof, err := diag.ParseProfile(files["cpu.pprof"])
-	if err != nil {
-		t.Fatalf("cpu.pprof does not parse: %v", err)
-	}
-	if prof.ValueIndex("cpu") < 0 {
-		t.Fatal("cpu.pprof has no cpu sample type")
+	// The CPU profile must be a real CPU profile the toolchain reads.
+	if raw := pprofRaw(t, files["cpu.pprof"]); !strings.Contains(raw, "PeriodType: cpu nanoseconds") ||
+		!strings.Contains(raw, "cpu/nanoseconds") {
+		t.Fatalf("cpu.pprof has no cpu dimension:\n%s", raw)
 	}
 
 	// The flight ring in the bundle holds the panic record, and the
@@ -190,8 +189,8 @@ func TestPanicProducesExactlyOneBundle(t *testing.T) {
 		t.Fatalf("manifest note %q does not reference label digest %s", manifest.Note, panicRec.LabelDigest)
 	}
 
-	// The wide event mirrors the same digest, so profiles join to the
-	// event pipeline too.
+	// /debug/events serves the same record, so profiles join to the
+	// event view too.
 	resp, err := ts.Client().Get(ts.URL + "/debug/events?outcome=panic")
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestPanicProducesExactlyOneBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(events.Events) == 0 {
-		t.Fatal("no panic wide events retained")
+		t.Fatal("no panic records in /debug/events")
 	}
 	found := false
 	for _, ev := range events.Events {
@@ -389,7 +388,7 @@ func TestDebugEventsFilters(t *testing.T) {
 		t.Fatalf("unfiltered events = %d, want 3", len(all.Events))
 	}
 	panics := get("?outcome=panic")
-	if len(panics.Events) != 1 || panics.Events[0].Record.Outcome != "panic" {
+	if len(panics.Events) != 1 || panics.Events[0].Outcome != "panic" {
 		t.Fatalf("?outcome=panic returned %+v, want the one panic event", panics.Events)
 	}
 	oks := get("?kind=solve&outcome=solved")
@@ -415,63 +414,6 @@ func TestDebugEventsFilters(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("?n=bogus: HTTP %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestSamplerAttributesEngineCPU boots the continuous profiler against
-// a CPU-burning engine and waits for floorpland_profile_cpu_seconds to
-// attribute work — the /metrics join of satellite profiling.
-func TestSamplerAttributesEngineCPU(t *testing.T) {
-	if testing.Short() {
-		t.Skip("profiling cadence test")
-	}
-	_, ts := newTestServer(t, Config{
-		Workers:            2,
-		QueueSize:          32,
-		CacheSize:          32,
-		Logger:             quietLogger(),
-		ProfileEvery:       80 * time.Millisecond,
-		ProfileCPUDuration: 40 * time.Millisecond,
-		Solve: func(ctx context.Context, p *core.Problem, _ string, _ core.SolveOptions) (*core.Solution, error) {
-			deadline := time.Now().Add(60 * time.Millisecond)
-			x := 0
-			for time.Now().Before(deadline) {
-				x++
-			}
-			_ = x
-			return fakeSolution(p), nil
-		},
-	})
-
-	deadline := time.Now().Add(10 * time.Second)
-	seed := int64(0)
-	for {
-		seed++
-		if code, _ := postSolve(t, ts.Client(), ts.URL, SolveRequest{
-			Problem: testProblem(t, 0), Engine: "exact", Seed: seed, TimeLimitMS: 30_000,
-		}); code != http.StatusOK {
-			t.Fatalf("solve: HTTP %d", code)
-		}
-		resp, err := ts.Client().Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := string(body)
-		if strings.Contains(text, "floorpland_profile_cpu_seconds_total{") &&
-			strings.Contains(text, "floorpland_profile_cycles_total") {
-			if strings.Contains(text, `engine="exact"`) {
-				return // attributed: the engine label reached /metrics
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Skipf("no attributed CPU samples after 10s (profiler starved on this machine); last exposition:\n%s", text)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -504,4 +446,27 @@ func TestSIGUSR2CaptureHelper(t *testing.T) {
 	if _, err := noDir.CaptureDiagBundle("SIGUSR2"); err == nil {
 		t.Fatal("CaptureDiagBundle without a diag dir must error")
 	}
+}
+
+// pprofRaw renders a profile with `go tool pprof -raw`, which reads it
+// offline; the test is skipped only when no go binary is on PATH.
+func pprofRaw(t *testing.T, profile []byte) string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary on PATH to run go tool pprof")
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := os.WriteFile(path, profile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(goBin, "tool", "pprof", "-raw", path).Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			t.Fatalf("go tool pprof -raw: %v\n%s", err, exit.Stderr)
+		}
+		t.Fatalf("go tool pprof -raw: %v", err)
+	}
+	return string(out)
 }

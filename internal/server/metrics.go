@@ -1,8 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/flight"
 	"repro/internal/guard"
+	"repro/internal/obs"
 	"repro/internal/obs/hist"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
@@ -100,9 +104,6 @@ type metrics struct {
 	// /metrics drives the tracker's edge-triggered alert hook as a side
 	// effect, so a scraped daemon needs no background evaluation loop.
 	sloStatus func() []slo.Status
-	// profileStats, when set, supplies the continuous profiler's
-	// per-engine/phase CPU attribution and runtime gauges.
-	profileStats func() diag.ProfileStats
 	// diagStats, when set, supplies the diagnostic-bundle pipeline
 	// counters.
 	diagStats func() diag.BundleStats
@@ -116,7 +117,13 @@ type metrics struct {
 	// members holds the portfolio engine's per-member race counters
 	// (guarded by mu).
 	members map[string]*memberStats
+	// spanSeconds sums ended solve spans' durations by engine and phase
+	// (guarded by mu).
+	spanSeconds map[spanKey]float64
 }
+
+// spanKey is one {engine, phase} pair of floorpland_span_seconds_total.
+type spanKey struct{ engine, phase string }
 
 // memberStats is one portfolio member's cumulative race record.
 type memberStats struct {
@@ -129,6 +136,7 @@ func newMetrics() *metrics {
 	return &metrics{
 		perEngine:    map[string]*engineDist{},
 		members:      map[string]*memberStats{},
+		spanSeconds:  map[spanKey]float64{},
 		queueDepth:   func() int { return 0 },
 		sessionsLive: func() int { return 0 },
 		version:      "dev",
@@ -213,6 +221,15 @@ func (m *metrics) recordIncumbentTimes(engine string, first, best time.Duration)
 	d := m.dist(engine)
 	d.firstIncumbent.Observe(first.Seconds())
 	d.bestIncumbent.Observe(best.Seconds())
+}
+
+// addSpanSeconds adds one ended span's duration under the engine and
+// phase its name splits into (obs.SplitSpan).
+func (m *metrics) addSpanSeconds(span string, d time.Duration) {
+	engine, phase := obs.SplitSpan(span)
+	m.mu.Lock()
+	m.spanSeconds[spanKey{engine, phase}] += d.Seconds()
+	m.mu.Unlock()
 }
 
 // engineNames returns the engines with recorded distributions, sorted.
@@ -342,18 +359,21 @@ func (m *metrics) render() string {
 		counter("floorpland_diag_rate_limited_total", "Anomaly bundle triggers suppressed by the rate limit.", ds.RateLimited)
 		counter("floorpland_diag_dropped_total", "Anomaly bundle triggers dropped because the capture queue was full.", ds.Dropped)
 	}
-	if m.profileStats != nil {
-		ps := m.profileStats()
-		counter("floorpland_profile_cycles_total", "Continuous-profiler sampling cycles completed.", ps.Cycles)
-		counter("floorpland_profile_errors_total", "Continuous-profiler cycles that failed to capture or parse.", ps.Errors)
-		if len(ps.Shares) > 0 {
-			b.WriteString("# HELP floorpland_profile_cpu_seconds_total Sampled CPU seconds attributed by goroutine label, by engine and phase.\n# TYPE floorpland_profile_cpu_seconds_total counter\n")
-			for _, sh := range ps.Shares {
-				fmt.Fprintf(&b, "floorpland_profile_cpu_seconds_total{engine=%q,phase=%q} %g\n", sh.Engine, sh.Phase, sh.Seconds)
-			}
+	m.mu.Lock()
+	spans := maps.Clone(m.spanSeconds)
+	m.mu.Unlock()
+	if len(spans) > 0 {
+		b.WriteString("# HELP floorpland_span_seconds_total Seconds spent inside ended solve spans, by span engine and phase (nested and parallel spans each count in full).\n# TYPE floorpland_span_seconds_total counter\n")
+		keys := make([]spanKey, 0, len(spans))
+		for k := range spans {
+			keys = append(keys, k)
 		}
-		fmt.Fprintf(&b, "# HELP floorpland_profile_heap_alloc_bytes Live heap bytes at the last profiler cycle.\n# TYPE floorpland_profile_heap_alloc_bytes gauge\nfloorpland_profile_heap_alloc_bytes %d\n", ps.HeapAllocBytes)
-		fmt.Fprintf(&b, "# HELP floorpland_profile_goroutines Goroutines at the last profiler cycle.\n# TYPE floorpland_profile_goroutines gauge\nfloorpland_profile_goroutines %d\n", ps.Goroutines)
+		slices.SortFunc(keys, func(a, b spanKey) int {
+			return cmp.Or(strings.Compare(a.engine, b.engine), strings.Compare(a.phase, b.phase))
+		})
+		for _, k := range keys {
+			fmt.Fprintf(&b, "floorpland_span_seconds_total{engine=%q,phase=%q} %g\n", k.engine, k.phase, spans[k])
+		}
 	}
 	fmt.Fprintf(&b, "# HELP floorpland_queue_depth Solves waiting in the pool queue.\n# TYPE floorpland_queue_depth gauge\nfloorpland_queue_depth %d\n", m.queueDepth())
 	fmt.Fprintf(&b, "# HELP floorpland_sessions_live Online-placement sessions currently registered.\n# TYPE floorpland_sessions_live gauge\nfloorpland_sessions_live %d\n", m.sessionsLive())

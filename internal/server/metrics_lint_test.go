@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // populatedMetrics builds a metrics value exercising every family render
 // path: flat counters, gauges, per-engine telemetry and histograms,
 // candidate-cache counters, portfolio member stats, the wide-event
-// pipeline counters, and the SLO gauges.
+// pipeline counters, span seconds, and the SLO gauges.
 func populatedMetrics() *metrics {
 	m := newMetrics()
 	m.requests.Add(3)
@@ -49,18 +49,8 @@ func populatedMetrics() *metrics {
 	m.breakerStats = func() []guard.BreakerSnapshot {
 		return []guard.BreakerSnapshot{{Name: "exact", State: guard.BreakerOpen, Failures: 5, Trips: 1}}
 	}
-	m.profileStats = func() diag.ProfileStats {
-		return diag.ProfileStats{
-			Cycles: 2,
-			Errors: 1,
-			Shares: []diag.CPUShare{
-				{Engine: "exact", Phase: "solve", Seconds: 1.5},
-				{Engine: "session", Phase: "apply", Seconds: 0.25},
-			},
-			HeapAllocBytes: 1 << 20,
-			Goroutines:     12,
-		}
-	}
+	m.addSpanSeconds("exact", 1500*time.Millisecond)
+	m.addSpanSeconds("milp-ho/wire", 250*time.Millisecond)
 	m.diagStats = func() diag.BundleStats {
 		return diag.BundleStats{
 			Captured:    map[string]int64{"panic": 1, "slo-alert": 2},

@@ -9,12 +9,15 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/flight"
 	"repro/internal/session"
 	"repro/internal/slo"
 )
@@ -316,5 +319,127 @@ func TestSanitizeRequestID(t *testing.T) {
 		if got := sanitizeRequestID(tc.in); got != tc.want {
 			t.Errorf("sanitizeRequestID(%q) = %q, want %q", tc.in, got, tc.want)
 		}
+	}
+}
+
+// captureSink keeps a copy of every exported record.
+type captureSink struct {
+	mu   sync.Mutex
+	recs []flight.Record
+}
+
+func (c *captureSink) WriteEvent(rec *flight.Record) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, *rec)
+	return nil
+}
+
+func (c *captureSink) all() []flight.Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]flight.Record(nil), c.recs...)
+}
+
+// TestExportedEventIsRingRecord: for a fresh solve, its cache hit and a
+// session batch, the exported wide event is the flight ring's record
+// for the same sequence — same time, same breaker snapshot, same
+// sampling reason — with only the trace stripped.
+func TestExportedEventIsRingRecord(t *testing.T) {
+	sink := &captureSink{}
+	s, ts := newTestServer(t, Config{
+		Workers:         1,
+		QueueSize:       8,
+		Logger:          quietLogger(),
+		EventSink:       sink,
+		EventSampleRate: 1,
+	})
+	client := ts.Client()
+
+	req := SolveRequest{Problem: testProblem(t, 0), Engine: "exact", TimeLimitMS: 30_000}
+	for _, wantCached := range []bool{false, true} {
+		if code, resp := postSolve(t, client, ts.URL, req); code != http.StatusOK || resp.Cached != wantCached {
+			t.Fatalf("solve: HTTP %d cached=%v, want cached=%v", code, resp.Cached, wantCached)
+		}
+	}
+	info := createSession(t, client, ts.URL, CreateSessionRequest{Device: "k160t"})
+	var batch SessionEventsResponse
+	if code := sessionPost(t, client, ts.URL+"/v1/sessions/"+info.ID+"/events", SessionEventsRequest{
+		Events: []session.Event{{Kind: session.Arrival, Name: "a", Req: device.Requirements{device.ClassCLB: 8}, Mode: 1}},
+	}, &batch); code != http.StatusOK {
+		t.Fatalf("session batch: HTTP %d", code)
+	}
+	s.events.Sync()
+
+	exported := sink.all()
+	var fresh, cached, sess int
+	for _, ev := range exported {
+		ring, ok := s.flight.Get(ev.Seq)
+		if !ok {
+			t.Fatalf("exported seq %d is not in the flight ring", ev.Seq)
+		}
+		if ev.Trace != nil {
+			t.Errorf("exported seq %d carries a trace", ev.Seq)
+		}
+		if ev.SampleReason == "" {
+			t.Errorf("exported seq %d has no sample_reason", ev.Seq)
+		}
+		if len(ev.Breakers) == 0 {
+			t.Errorf("exported seq %d has no breaker snapshot", ev.Seq)
+		}
+		ring.Trace = nil
+		if !reflect.DeepEqual(ev, ring) {
+			t.Errorf("exported seq %d differs from the ring record:\nexport %+v\nring   %+v", ev.Seq, ev, ring)
+		}
+		switch {
+		case ev.Kind == "session":
+			sess++
+		case ev.Cached:
+			cached++
+		default:
+			fresh++
+		}
+	}
+	if fresh != 1 || cached != 1 || sess != 1 {
+		t.Fatalf("exported fresh/cached/session = %d/%d/%d, want 1/1/1", fresh, cached, sess)
+	}
+}
+
+// TestDebugEventsNewestFirst: /debug/events lists the flight ring newest
+// first, bounded by the ring and by ?n=.
+func TestDebugEventsNewestFirst(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Workers:    1,
+		QueueSize:  8,
+		FlightSize: 4,
+		Logger:     quietLogger(),
+		Solve: func(_ context.Context, p *core.Problem, _ string, _ core.SolveOptions) (*core.Solution, error) {
+			return fakeSolution(p), nil
+		},
+	})
+	for seed := int64(0); seed < 6; seed++ {
+		if code, _ := postSolve(t, ts.Client(), ts.URL, SolveRequest{
+			Problem: testProblem(t, 0), Engine: "exact", Seed: seed, TimeLimitMS: 30_000,
+		}); code != http.StatusOK {
+			t.Fatalf("solve %d: HTTP %d", seed, code)
+		}
+	}
+	seqs := func(query string) []int64 {
+		t.Helper()
+		var out DebugEventsResponse
+		if code := getJSON(t, ts.Client(), ts.URL+"/debug/events"+query, &out); code != http.StatusOK {
+			t.Fatalf("/debug/events%s: HTTP %d", query, code)
+		}
+		var got []int64
+		for _, rec := range out.Events {
+			got = append(got, rec.Seq)
+		}
+		return got
+	}
+	if got := seqs(""); !slices.Equal(got, []int64{6, 5, 4, 3}) {
+		t.Fatalf("events = seqs %v, want [6 5 4 3] (ring bound, newest first)", got)
+	}
+	if got := seqs("?n=2"); !slices.Equal(got, []int64{6, 5}) {
+		t.Fatalf("?n=2 = seqs %v, want [6 5]", got)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/session"
-	"repro/internal/telemetry"
 )
 
 // recoverSessions rebuilds every session persisted under SessionDir.
@@ -131,14 +130,15 @@ func (s *Server) recoverSession(dir, name string) error {
 	return nil
 }
 
-// emitRecoveryEvent feeds one recovery outcome into the wide-event
-// pipeline, so recoveries land in the same export stream as solves and
-// session batches.
+// emitRecoveryEvent records one recovery outcome, so recoveries land in
+// the same flight ring and export stream as solves and session batches.
 func (s *Server) emitRecoveryEvent(id string, rep *session.RecoveryReport, err error) {
 	rec := flight.Record{
-		Key:     id,
-		Engine:  "session",
-		Outcome: "ok",
+		Key:      id,
+		Engine:   "session",
+		Outcome:  "ok",
+		Kind:     "recovery",
+		Endpoint: "startup",
 	}
 	if rep != nil {
 		rec.Session = &flight.SessionStats{
@@ -152,12 +152,7 @@ func (s *Server) emitRecoveryEvent(id string, rep *session.RecoveryReport, err e
 		rec.Outcome = "error"
 		rec.Err = err.Error()
 	}
-	rec.Seq = s.recordFlight(rec)
-	s.events.Emit(telemetry.Event{
-		Record:   rec,
-		Kind:     "recovery",
-		Endpoint: "startup",
-	})
+	s.record(rec)
 }
 
 // drainSessions flushes a final snapshot for every live session and

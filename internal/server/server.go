@@ -91,8 +91,8 @@ type Config struct {
 	// admitting a half-open probe (default 30s).
 	BreakerCooldown time.Duration
 	// FlightSize bounds the flight recorder ring: the last FlightSize
-	// solve records kept for /debug/solves and SIGUSR1 dumps (default
-	// 256).
+	// solve, session-batch and recovery records kept for /debug/solves,
+	// /debug/events and SIGUSR1 dumps (default 256).
 	FlightSize int
 	// MaxSessions bounds the live online-placement sessions the daemon
 	// holds (default 16; see sessions.go).
@@ -112,16 +112,13 @@ type Config struct {
 	// into every session's frame writes (fault soaks; see
 	// reconfig.ParseFaultPlan).
 	SessionFaults *reconfig.FaultPlan
-	// EventSink receives the exported wide events (one JSON-able record
-	// per solve and session batch); nil keeps events in the in-memory
-	// tail behind /debug/events only.
+	// EventSink receives the exported wide events: the flight records
+	// that survive tail sampling, traces stripped; nil exports nothing
+	// (the records stay in the flight ring behind /debug/events).
 	EventSink telemetry.Sink
 	// EventQueueSize bounds the wide-event export queue; a full queue
 	// drops events instead of blocking solves (default 256).
 	EventQueueSize int
-	// EventTailSize bounds the in-memory event tail behind /debug/events
-	// (default 256).
-	EventTailSize int
 	// EventSampleRate is the keep probability for unremarkable events;
 	// errors, budget breaches and the slow tail are always kept
 	// (default 0.1; 1 keeps everything, negative keeps only the
@@ -139,12 +136,8 @@ type Config struct {
 	DiagKeep int
 	// DiagMinInterval rate-limits anomaly-triggered bundles (default 1m).
 	DiagMinInterval time.Duration
-	// ProfileEvery, when positive, runs the continuous profiler: a short
-	// CPU profile every ProfileEvery, attributed per engine/phase into
-	// the floorpland_profile_* metric families.
-	ProfileEvery time.Duration
-	// ProfileCPUDuration is the profiler's CPU window per cycle (default
-	// 250ms, clamped below ProfileEvery).
+	// ProfileCPUDuration is the CPU-profile window a diagnostic bundle
+	// captures (default 250ms).
 	ProfileCPUDuration time.Duration
 	// Chaos, when non-nil, injects faults (panics, invalid solutions,
 	// errors, delays) around the whole dispatch path — the fire drill
@@ -220,7 +213,6 @@ type Server struct {
 	sessions *sessionRegistry
 	events   *telemetry.Exporter
 	slos     *slo.Tracker
-	sampler  *diag.Sampler // nil unless ProfileEvery > 0
 	bundler  *diag.Bundler
 	chaos    *guard.Chaos // nil unless Config.Chaos set
 	log      *slog.Logger
@@ -247,7 +239,6 @@ func New(cfg Config) *Server {
 	s.events = telemetry.New(telemetry.Config{
 		Sink:       cfg.EventSink,
 		QueueSize:  cfg.EventQueueSize,
-		TailSize:   cfg.EventTailSize,
 		SampleRate: cfg.EventSampleRate,
 	})
 	objectives := cfg.SLOs
@@ -295,10 +286,10 @@ func New(cfg Config) *Server {
 		s.chaos = guard.NewChaosInjector(*cfg.Chaos)
 	}
 	// Goroutine labeling switches on (process-wide) as soon as anything
-	// consumes the labels: the continuous profiler or bundle captures.
-	// Never switched back off here — another server in the process may
-	// still depend on it.
-	if cfg.ProfileEvery > 0 || cfg.DiagDir != "" {
+	// consumes the labels: anomaly bundles' CPU profiles. Never switched
+	// back off here — another server in the process may still depend on
+	// it.
+	if cfg.DiagDir != "" {
 		diag.SetLabeling(true)
 	}
 	s.bundler = diag.NewBundler(diag.BundlerConfig{
@@ -314,27 +305,15 @@ func New(cfg Config) *Server {
 		Logger:    cfg.Logger,
 	})
 	s.metrics.diagStats = s.bundler.Stats
-	if cfg.ProfileEvery > 0 {
-		s.sampler = diag.NewSampler(diag.SamplerConfig{
-			Every:       cfg.ProfileEvery,
-			CPUDuration: cfg.ProfileCPUDuration,
-			// Burn-rate state normally advances only when /metrics is
-			// scraped; with the profiler on, every cycle also evaluates,
-			// so alerts (and their bundles) fire without a scraper.
-			OnCycle: func() { s.slos.Evaluate() },
-			Logger:  cfg.Logger,
-		})
-		s.metrics.profileStats = s.sampler.Stats
-	}
 	if cfg.SessionDir != "" {
 		s.recoverSessions()
 	}
 	return s
 }
 
-// FlightRecorder returns the server's solve flight ring — the backing
-// store of /debug/solves, exposed so the daemon binary can dump it on
-// SIGUSR1.
+// FlightRecorder returns the server's flight ring — the backing store
+// of /debug/solves and /debug/events, exposed so the daemon binary can
+// dump it on SIGUSR1.
 func (s *Server) FlightRecorder() *flight.Recorder { return s.flight }
 
 // Close stops admissions, drains in-flight solves and cancels queued
@@ -343,9 +322,6 @@ func (s *Server) FlightRecorder() *flight.Recorder { return s.flight }
 // and closes the wide-event exporter (and its sink).
 func (s *Server) Close(ctx context.Context) error {
 	s.closing.Store(true)
-	if s.sampler != nil {
-		s.sampler.Stop()
-	}
 	err := s.pool.close(ctx)
 	flushed, drainErr := s.drainSessions()
 	s.log.Info("session drain", "flushed", flushed)
@@ -356,14 +332,10 @@ func (s *Server) Close(ctx context.Context) error {
 		err = eerr
 	}
 	// Last: in-flight anomaly bundles still read the flight ring and
-	// event tail, both valid until here.
+	// exporter stats, both valid until here.
 	s.bundler.Close()
 	return err
 }
-
-// Events returns the server's wide-event exporter (the pipeline behind
-// /debug/events), exposed for the daemon binary and tests.
-func (s *Server) Events() *telemetry.Exporter { return s.events }
 
 // onSLOAlert is the burn-rate transition hook: fired alerts land in the
 // log at warning level, resolutions at info, both carrying the burns
@@ -536,7 +508,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if entry.err != nil {
 			frec.Err = entry.err.Error()
 		}
-		frec.Seq = s.recordFlight(frec)
 		s.observeSolve(r.Context(), frec, opts.TimeLimit, entry.err)
 		s.respondEntry(w, r, key, engine, req.Problem, entry, true, false, req.Trace)
 		return
@@ -580,7 +551,6 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 			s.metrics.breakerRejected.Add(1)
 			frec.Outcome = outcomeLabel(nil, errBreakerOpen)
 			frec.Err = errBreakerOpen.Error()
-			frec.Seq = s.recordFlight(frec)
 			s.observeSolve(ctx, frec, opts.TimeLimit, errBreakerOpen)
 			return cacheEntry{err: errBreakerOpen}
 		}
@@ -662,7 +632,6 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 		frec.Outcome = outcomeLabel(nil, err)
 		frec.Err = err.Error()
 		frec.DurationMS = durationMS(time.Since(started))
-		frec.Seq = s.recordFlight(frec)
 		s.observeSolve(ctx, frec, opts.TimeLimit, err)
 		return cacheEntry{err: err}
 	}
@@ -683,6 +652,9 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 	// span are nonincreasing, so latest == best).
 	if first, best, ok := rec.IncumbentTimes(engine); ok {
 		s.metrics.recordIncumbentTimes(engine, first, best)
+	}
+	for _, end := range rec.Ends() {
+		s.metrics.addSpanSeconds(end.Span, end.Duration())
 	}
 	s.log.Info("solve telemetry",
 		"request_id", requestID(ctx),
@@ -714,9 +686,7 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 		s.metrics.recordRace(frec.Stages, winner)
 	}
 	frec.Trace = rec.Trace()
-	seq := s.recordFlight(frec)
-	frec.Seq = seq
-	s.observeSolve(ctx, frec, opts.TimeLimit, err)
+	seq := s.observeSolve(ctx, frec, opts.TimeLimit, err)
 	entry := cacheEntry{sol: sol, err: err, trace: frec.Trace, flightSeq: seq}
 	if err == nil || errors.Is(err, core.ErrInfeasible) {
 		s.cache.put(key, entry)
@@ -724,9 +694,13 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 	return entry
 }
 
-// recordFlight stamps the current breaker snapshots onto rec and appends
-// it to the server's flight ring, returning the assigned sequence.
-func (s *Server) recordFlight(rec flight.Record) int64 {
+// record is the one place a daemon record is finished: it stamps the
+// time and the breaker snapshots, makes the export's sampling decision,
+// appends the record to the flight ring, hands the same record to the
+// exporter and checks it for anomaly-bundle triggers. It returns the
+// assigned sequence number.
+func (s *Server) record(rec flight.Record) int64 {
+	rec.Time = time.Now()
 	if s.breakers != nil {
 		for _, bs := range s.breakers.Snapshot() {
 			rec.Breakers = append(rec.Breakers, flight.Breaker{
@@ -736,40 +710,37 @@ func (s *Server) recordFlight(rec flight.Record) int64 {
 			})
 		}
 	}
-	return s.flight.Record(rec)
+	s.events.Sample(&rec)
+	rec.Seq = s.flight.Record(rec)
+	s.events.Export(rec)
+	s.triggerDiag(rec)
+	return rec.Seq
 }
 
-// observeSolve feeds one finished solve into the wide-event pipeline and
-// the SLO tracker. The flight record must already carry its ring
-// sequence (frec.Seq) so the exported event and /debug/solves agree on
-// identity.
-func (s *Server) observeSolve(ctx context.Context, frec flight.Record, budget time.Duration, err error) {
-	ev := telemetry.Event{
-		Record:    frec,
-		Kind:      "solve",
-		Endpoint:  "/v1/solve",
-		RequestID: requestID(ctx),
-		BudgetMS:  durationMS(budget),
-	}
+// observeSolve records one finished solve with its serving context and
+// feeds it to the SLO tracker, returning the record's sequence number.
+func (s *Server) observeSolve(ctx context.Context, frec flight.Record, budget time.Duration, err error) int64 {
+	frec.Kind = "solve"
+	frec.Endpoint = "/v1/solve"
+	frec.RequestID = requestID(ctx)
+	frec.BudgetMS = durationMS(budget)
 	// Overrun is measured against the same tolerance the SLO's
 	// budget-relative latency objective uses, so the two never disagree
 	// about whether a solve blew its deadline.
-	if over := frec.DurationMS - ev.BudgetMS - durationMS(slo.BudgetEpsilon); over > 0 && !frec.Cached {
-		ev.BudgetOverrunMS = over
+	if over := frec.DurationMS - frec.BudgetMS - durationMS(slo.BudgetEpsilon); over > 0 && !frec.Cached {
+		frec.BudgetOverrunMS = over
 	}
-	s.events.Emit(ev)
-	s.triggerDiag(frec, ev)
-	failed, counted := sloCounts(err)
-	if !counted {
-		return
+	seq := s.record(frec)
+	if failed, counted := sloCounts(err); counted {
+		s.slos.Record(slo.Sample{
+			Engine:   frec.Engine,
+			Endpoint: "/v1/solve",
+			Failed:   failed,
+			Duration: time.Duration(frec.DurationMS * float64(time.Millisecond)),
+			Budget:   budget,
+		})
 	}
-	s.slos.Record(slo.Sample{
-		Engine:   frec.Engine,
-		Endpoint: "/v1/solve",
-		Failed:   failed,
-		Duration: time.Duration(frec.DurationMS * float64(time.Millisecond)),
-		Budget:   budget,
-	})
+	return seq
 }
 
 // sloCounts classifies a solve error for the SLO tracker: failed says

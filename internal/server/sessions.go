@@ -38,7 +38,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/session"
 	"repro/internal/slo"
-	"repro/internal/telemetry"
 )
 
 // liveSession is one registry entry: the manager plus the bookkeeping
@@ -512,42 +511,33 @@ func canonicalizeRequirements(req device.Requirements) device.Requirements {
 	return out
 }
 
-// recordSessionFlight appends one event-batch record to the flight
-// ring, keyed by session id under the pseudo-engine "session", so
-// /debug/solves interleaves online batches with offline solves — then
-// feeds the same record to the wide-event pipeline and the SLO tracker.
-// stats carries the batch's defrag work (frag before/after, executed
-// moves) so an exported session event is self-contained.
+// recordSessionFlight records one event batch, keyed by session id
+// under the pseudo-engine "session", so /debug/solves interleaves online
+// batches with offline solves and the export carries them too — then
+// feeds the SLO tracker. stats carries the batch's defrag work (frag
+// before/after, executed moves) so an exported session record is
+// self-contained.
 func (s *Server) recordSessionFlight(ctx context.Context, ls *liveSession, stats flight.SessionStats, elapsed time.Duration, err error) {
 	frag := ls.mgr.Fragmentation()
 	stats.FragAfter = frag
 	rec := flight.Record{
-		Key:        ls.id,
-		Engine:     "session",
-		Outcome:    "ok",
-		Objective:  &frag,
-		DurationMS: durationMS(elapsed),
-		Session:    &stats,
+		RequestDigest: fmt.Sprintf("session:%s:%d", ls.id, stats.Events),
+		LabelDigest:   sessionLabels(ctx, ls.id).JoinDigest(),
+		Key:           ls.id,
+		Engine:        "session",
+		Outcome:       "ok",
+		Objective:     &frag,
+		DurationMS:    durationMS(elapsed),
+		Session:       &stats,
+		Kind:          "session",
+		Endpoint:      "/v1/sessions/events",
+		RequestID:     requestID(ctx),
 	}
-	rec.RequestDigest = fmt.Sprintf("session:%s:%d", ls.id, stats.Events)
-	rec.LabelDigest = sessionLabels(ctx, ls.id).JoinDigest()
 	if err != nil {
 		rec.Outcome = "error"
 		rec.Err = err.Error()
 	}
-	rec.Seq = s.recordFlight(rec)
-	if stats.Rollbacks > 0 && s.bundler != nil {
-		// A transactional defrag rollback means a mid-schedule hard fault
-		// just unwound live relocations — snapshot the evidence.
-		s.bundler.Trigger("reconfig-rollback", fmt.Sprintf(
-			"session %s seq %d rollbacks %d retries %d", ls.id, rec.Seq, stats.Rollbacks, stats.Retries))
-	}
-	s.events.Emit(telemetry.Event{
-		Record:    rec,
-		Kind:      "session",
-		Endpoint:  "/v1/sessions/events",
-		RequestID: requestID(ctx),
-	})
+	s.record(rec)
 	// Malformed events are client errors (HTTP 400): they don't enter the
 	// availability objective's denominator at all, same as a canceled
 	// solve. A clean batch is good service.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestSolveTraceEndToEnd runs a real solve through the daemon with
@@ -176,4 +178,54 @@ func scrapeMetrics(t testing.TB, ts *httptest.Server) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestSpanDurationsEndToEnd checks the recorded span timing a daemon
+// solve reports: on a real milp-o solve the waste and wire passes lie
+// inside the engine's span, and an exact solve's span time reaches
+// floorpland_span_seconds_total under its engine and phase.
+func TestSpanDurationsEndToEnd(t *testing.T) {
+	s := New(Config{Workers: 1, DefaultTimeLimit: 20 * time.Second})
+	t.Cleanup(func() { _ = s.Close(t.Context()) })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	code, resp := postSolve(t, ts.Client(), ts.URL, SolveRequest{Problem: testProblem(t, 0), Engine: "milp-o", TimeLimitMS: 3000, Trace: true})
+	if code != http.StatusOK || resp.Status != "ok" {
+		t.Fatalf("milp-o solve: HTTP %d status %q (%s)", code, resp.Status, resp.Error)
+	}
+	spans := map[string]obs.TraceSpan{}
+	for _, sp := range resp.Trace.Spans {
+		spans[sp.Name] = sp
+	}
+	outer, ok := spans["milp-o"]
+	if !ok || outer.DurationMS <= 0 {
+		t.Fatalf("milp-o span missing or without duration: %+v", resp.Trace.Spans)
+	}
+	for _, name := range []string{"milp-o/waste", "milp-o/wire"} {
+		inner, ok := spans[name]
+		if !ok || inner.DurationMS <= 0 {
+			t.Fatalf("%s span missing or without duration: %+v", name, resp.Trace.Spans)
+		}
+		if inner.StartMS < outer.StartMS || inner.EndMS > outer.EndMS {
+			t.Errorf("%s [%g, %g]ms lies outside milp-o [%g, %g]ms",
+				name, inner.StartMS, inner.EndMS, outer.StartMS, outer.EndMS)
+		}
+	}
+
+	if code, resp := postSolve(t, ts.Client(), ts.URL, SolveRequest{Problem: testProblem(t, 1), Engine: "exact"}); code != http.StatusOK || resp.Status != "ok" {
+		t.Fatalf("exact solve: HTTP %d status %q (%s)", code, resp.Status, resp.Error)
+	}
+	body := scrapeMetrics(t, ts)
+	for _, want := range []string{
+		`floorpland_span_seconds_total{engine="exact",phase="solve"} `,
+		`floorpland_span_seconds_total{engine="milp-o",phase="waste"} `,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	if secs := scrapeGauge(t, ts.Client(), ts.URL, `floorpland_span_seconds_total{engine="exact",phase="solve"}`); secs <= 0 {
+		t.Errorf("exact solve span seconds = %g, want > 0", secs)
+	}
 }

@@ -14,14 +14,14 @@ type benchSink struct {
 	writes atomic.Int64
 }
 
-func (s *benchSink) WriteEvent(*Event) error {
+func (s *benchSink) WriteEvent(*flight.Record) error {
 	s.writes.Add(1)
 	time.Sleep(time.Millisecond)
 	return nil
 }
 
 // BenchmarkEventExport measures the hot-path cost a solve pays to emit
-// one wide event. "baseline" is constructing the event without an
+// one wide event. "baseline" is constructing the record without an
 // exporter; the emit variants add the sampling decision and the
 // non-blocking queue send. "saturated" runs against a sink three orders
 // of magnitude slower than the emitters — per-emit cost must stay flat
@@ -29,16 +29,14 @@ func (s *benchSink) WriteEvent(*Event) error {
 //
 //	go test -run '^$' -bench BenchmarkEventExport -benchmem ./internal/telemetry
 func BenchmarkEventExport(b *testing.B) {
-	mk := func(i int) Event {
-		return Event{
-			Kind:     "solve",
-			Endpoint: "/v1/solve",
-			Record: flight.Record{
-				Engine:     "exact",
-				Outcome:    "proven",
-				DurationMS: float64(10 + i%5),
-			},
-			BudgetMS: 2000,
+	mk := func(i int) flight.Record {
+		return flight.Record{
+			Engine:     "exact",
+			Outcome:    "proven",
+			DurationMS: float64(10 + i%5),
+			Kind:       "solve",
+			Endpoint:   "/v1/solve",
+			BudgetMS:   2000,
 		}
 	}
 
@@ -54,7 +52,7 @@ func BenchmarkEventExport(b *testing.B) {
 		defer e.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Emit(mk(i))
+			emit(e, mk(i))
 		}
 	})
 
@@ -63,7 +61,7 @@ func BenchmarkEventExport(b *testing.B) {
 		defer e.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Emit(mk(i))
+			emit(e, mk(i))
 		}
 	})
 
@@ -72,7 +70,7 @@ func BenchmarkEventExport(b *testing.B) {
 		e := New(Config{Sink: sink, SampleRate: 1, Seed: 1, QueueSize: 64})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Emit(mk(i))
+			emit(e, mk(i))
 		}
 		b.StopTimer()
 		e.Close()

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"repro/internal/flight"
 )
 
-// FileSink writes events as JSON lines to a size-rotated file: when the
+// FileSink writes records as JSON lines to a size-rotated file: when the
 // live file exceeds MaxBytes it is renamed to <path>.1 (shifting older
 // rotations up, dropping the one past Keep) and a fresh file is opened.
-// One event is one line, so the log greps and tails cleanly.
+// One record is one line, so the log greps and tails cleanly.
 type FileSink struct {
 	mu       sync.Mutex
 	path     string
@@ -48,10 +50,10 @@ func NewFileSink(path string, maxBytes int64, keep int) (*FileSink, error) {
 	return &FileSink{path: path, maxBytes: maxBytes, keep: keep, f: f, size: info.Size()}, nil
 }
 
-// WriteEvent implements Sink: one JSON line per event, rotating first
+// WriteEvent implements Sink: one JSON line per record, rotating first
 // when the live file is over budget.
-func (s *FileSink) WriteEvent(ev *Event) error {
-	line, err := json.Marshal(ev)
+func (s *FileSink) WriteEvent(rec *flight.Record) error {
+	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("telemetry: encoding event: %w", err)
 	}

@@ -1,25 +1,27 @@
-// Package telemetry is the wide-event export layer: every solve and
-// every session event batch becomes ONE structured event carrying the
-// whole story — request ID, problem digest, engine, outcome, objective,
-// duration, fallback stages, breaker and cache state, budget compliance
-// and the flight sequence — so a single grep over the event log answers
-// questions that would otherwise need joining three log streams.
+// Package telemetry is the wide-event export layer: the daemon's flight
+// records (flight.Record — one per solve, session event batch and
+// session recovery) leave the process as one JSON line each, carrying
+// the whole story — request ID, problem digest, engine, outcome,
+// objective, duration, fallback stages, breaker and cache state, budget
+// compliance and the flight sequence — so a single grep over the event
+// log answers questions that would otherwise need joining three log
+// streams. The exported line is the flight-ring record itself with its
+// trace stripped; there is no second event schema and no second ring.
 //
-// Exporting must never slow a solve down. Emit is non-blocking: events
-// pass a tail-sampling decision (always keep errors, panics, invalid
-// solutions, budget breaches and the slowest tail; keep a configurable
-// random fraction of the unremarkable rest) and are then handed to a
-// bounded queue drained by one background goroutine. A full queue drops
-// the event and counts the drop — backpressure never reaches the solve
-// path. The drained events go to an optional Sink (production: the
-// rotating JSONL FileSink) and into an in-memory tail ring served at
-// GET /debug/events.
+// Exporting must never slow a solve down. Sample makes the tail-sampling
+// decision (always keep errors, panics, invalid solutions, budget
+// breaches and the slowest tail; keep a configurable random fraction of
+// the unremarkable rest) and Export hands a kept record to a bounded
+// queue drained by one background goroutine. A full queue drops the
+// record and counts the drop — backpressure never reaches the solve
+// path. The drained records go to an optional Sink (production: the
+// rotating JSONL FileSink).
 package telemetry
 
 import (
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,47 +29,20 @@ import (
 	"repro/internal/flight"
 )
 
-// Event is one wide event: a flight record plus the service context the
-// ring does not carry. The embedded record contributes the solve fields
-// (digest, key, engine, outcome, objective, duration, stages, breakers,
-// session stats, flight seq); Trace is stripped before export to keep
-// events one line wide.
-type Event struct {
-	flight.Record
-	// Kind discriminates the event: "solve" or "session".
-	Kind string `json:"kind"`
-	// Endpoint is the serving endpoint the event came through
-	// ("/v1/solve", "/v1/sessions/events").
-	Endpoint string `json:"endpoint,omitempty"`
-	// RequestID is the HTTP request ID (sanitized), correlating the
-	// event with request logs.
-	RequestID string `json:"request_id,omitempty"`
-	// BudgetMS is the solve's time budget in milliseconds (0 when the
-	// event has no budget, e.g. session batches).
-	BudgetMS float64 `json:"budget_ms,omitempty"`
-	// BudgetOverrunMS is how far the duration exceeded the budget plus
-	// the deadline-contract epsilon; 0 when compliant. A positive value
-	// marks a deadline-contract breach and forces the event through
-	// sampling.
-	BudgetOverrunMS float64 `json:"budget_overrun_ms,omitempty"`
-	// SampleReason records why the event survived tail sampling:
-	// "error", "budget", "slow" or "random".
-	SampleReason string `json:"sample_reason,omitempty"`
-}
-
-// Sink receives exported events, one call per event, from the
+// Sink receives exported records, one call per record, from the
 // exporter's single drain goroutine (implementations need no internal
 // locking against the exporter, only against their own concurrent
-// users).
+// users). The record is reused after WriteEvent returns, so a sink must
+// copy what it keeps.
 type Sink interface {
-	WriteEvent(ev *Event) error
+	WriteEvent(rec *flight.Record) error
 }
 
-// Stats are the exporter's monotonic counters. Emitted is every Emit
+// Stats are the exporter's monotonic counters. Emitted is every Sample
 // call; each one ends in exactly one of Kept, SampledOut or — when the
 // queue was full or the exporter closed — DroppedQueue. Exported counts
-// events the drain goroutine has fully processed so far; SinkErrors
-// counts failed sink writes (the event still reaches the tail ring).
+// records the drain goroutine has fully processed so far; SinkErrors
+// counts failed sink writes.
 type Stats struct {
 	Emitted      int64 `json:"emitted"`
 	Kept         int64 `json:"kept"`
@@ -77,18 +52,15 @@ type Stats struct {
 	SinkErrors   int64 `json:"sink_errors"`
 }
 
-// Config tunes an Exporter. The zero value is usable: no sink (tail
-// ring only), defaults elsewhere.
+// Config tunes an Exporter. The zero value is usable: no sink (kept
+// records are counted and discarded), defaults elsewhere.
 type Config struct {
-	// Sink receives exported events; nil keeps events in memory only.
+	// Sink receives exported records; nil discards them after counting.
 	// If the sink implements io.Closer it is closed by Exporter.Close.
 	Sink Sink
 	// QueueSize bounds the export queue (default 256). A full queue
-	// drops events instead of blocking Emit.
+	// drops records instead of blocking Export.
 	QueueSize int
-	// TailSize bounds the in-memory tail ring behind /debug/events
-	// (default 256).
-	TailSize int
 	// SampleRate is the keep probability for unremarkable events —
 	// those that are not errors, budget breaches or slow-tail outliers
 	// (default 0.1; 1 keeps everything, negative keeps none).
@@ -101,7 +73,6 @@ type Config struct {
 // Defaults for Config's zero values.
 const (
 	DefaultQueueSize  = 256
-	DefaultTailSize   = 256
 	DefaultSampleRate = 0.1
 )
 
@@ -121,7 +92,7 @@ const (
 // use.
 type Exporter struct {
 	sink  Sink
-	queue chan Event
+	queue chan flight.Record
 
 	stats struct {
 		emitted, kept, sampledOut, droppedQueue, exported, sinkErrors atomic.Int64
@@ -133,19 +104,15 @@ type Exporter struct {
 	closed  bool
 	done    chan struct{}
 
-	// sampleMu guards the sampling state: the RNG and the slow-tail
-	// duration window.
+	// sampleMu guards the sampling state: the RNG, the slow-tail
+	// duration window and the scratch array the threshold is sorted in.
 	sampleMu   sync.Mutex
 	rng        *rand.Rand
 	sampleRate float64
 	durs       [slowWindow]float64
+	sorted     [slowWindow]float64
 	nDurs      int // total durations ever observed
 	slowThresh float64
-
-	// tailMu guards the tail ring (drain goroutine writes, HTTP reads).
-	tailMu   sync.Mutex
-	tail     []Event
-	tailNext int64
 }
 
 // New builds an Exporter and starts its drain goroutine. Call Close to
@@ -153,9 +120,6 @@ type Exporter struct {
 func New(cfg Config) *Exporter {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = DefaultQueueSize
-	}
-	if cfg.TailSize <= 0 {
-		cfg.TailSize = DefaultTailSize
 	}
 	if cfg.SampleRate == 0 {
 		cfg.SampleRate = DefaultSampleRate
@@ -166,31 +130,37 @@ func New(cfg Config) *Exporter {
 	}
 	e := &Exporter{
 		sink:       cfg.Sink,
-		queue:      make(chan Event, cfg.QueueSize),
+		queue:      make(chan flight.Record, cfg.QueueSize),
 		done:       make(chan struct{}),
 		rng:        rand.New(rand.NewSource(seed)),
 		sampleRate: cfg.SampleRate,
-		tail:       make([]Event, cfg.TailSize),
 	}
 	go e.drain()
 	return e
 }
 
-// Emit offers one event to the pipeline and returns immediately. The
-// event is dropped (and counted) when sampling rejects it, when the
-// queue is full, or after Close.
-func (e *Exporter) Emit(ev Event) {
+// Sample makes the tail-sampling decision for rec and stamps why it
+// survived on rec.SampleReason; a record left with an empty reason was
+// sampled out. Remarkable records — failures, budget breaches and the
+// slowest tail — always survive; the rest survive with probability
+// SampleRate. Sampling comes before the record is final, so the flight
+// ring and the export carry the same reason.
+func (e *Exporter) Sample(rec *flight.Record) {
 	e.stats.emitted.Add(1)
-	reason, keep := e.sample(&ev)
-	if !keep {
+	rec.SampleReason = e.sample(rec)
+	if rec.SampleReason == "" {
 		e.stats.sampledOut.Add(1)
+	}
+}
+
+// Export hands a record Sample kept to the sink, without its trace, and
+// returns immediately; records Sample rejected are ignored. The record
+// is dropped (and counted) when the queue is full or after Close.
+func (e *Exporter) Export(rec flight.Record) {
+	if rec.SampleReason == "" {
 		return
 	}
-	ev.SampleReason = reason
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	ev.Trace = nil // wide events stay one line wide; traces live in the flight ring
+	rec.Trace = nil // exported lines stay one line wide; traces live in the flight ring
 
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
@@ -199,39 +169,32 @@ func (e *Exporter) Emit(ev Event) {
 		return
 	}
 	select {
-	case e.queue <- ev:
+	case e.queue <- rec:
 		e.stats.kept.Add(1)
 	default:
 		e.stats.droppedQueue.Add(1)
 	}
 }
 
-// sample decides whether ev survives tail sampling and why. Remarkable
-// events — failures, budget breaches and the slowest tail — always
-// survive; the rest survive with probability SampleRate.
-func (e *Exporter) sample(ev *Event) (string, bool) {
-	switch ev.Outcome {
-	case "panic", "invalid", "error":
-		e.observeDuration(ev.DurationMS)
-		return "error", true
-	}
-	if ev.Err != "" {
-		e.observeDuration(ev.DurationMS)
-		return "error", true
-	}
-	if ev.BudgetOverrunMS > 0 {
-		e.observeDuration(ev.DurationMS)
-		return "budget", true
-	}
-	if ev.Cached {
+// sample returns why rec survives tail sampling, or "" when it does not.
+func (e *Exporter) sample(rec *flight.Record) string {
+	switch {
+	case rec.Outcome == "panic", rec.Outcome == "invalid", rec.Outcome == "error", rec.Err != "":
+		e.observeDuration(rec.DurationMS)
+		return "error"
+	case rec.BudgetOverrunMS > 0:
+		e.observeDuration(rec.DurationMS)
+		return "budget"
+	case rec.Cached:
 		// Cache hits carry no fresh duration signal; they only face the
 		// probabilistic gate.
-		return "random", e.draw()
+	case e.observeDuration(rec.DurationMS):
+		return "slow"
 	}
-	if e.observeDuration(ev.DurationMS) {
-		return "slow", true
+	if e.draw() {
+		return "random"
 	}
-	return "random", e.draw()
+	return ""
 }
 
 // draw is one probabilistic keep decision.
@@ -258,9 +221,9 @@ func (e *Exporter) observeDuration(d float64) bool {
 	e.nDurs++
 	if e.nDurs%slowRecompute == 0 {
 		n := min(e.nDurs, slowWindow)
-		window := make([]float64, n)
+		window := e.sorted[:n]
 		copy(window, e.durs[:n])
-		sort.Float64s(window)
+		slices.Sort(window)
 		e.slowThresh = window[int(slowQuantile*float64(n-1))]
 	}
 	// Strictly greater: with a population of tied durations the p95
@@ -269,16 +232,15 @@ func (e *Exporter) observeDuration(d float64) bool {
 	return e.nDurs > slowMinObs && e.slowThresh > 0 && d > e.slowThresh
 }
 
-// drain is the single background consumer: tail ring, then sink.
+// drain is the single background consumer feeding the sink. One
+// record variable serves every write, so handing its address to the
+// sink costs no allocation per record.
 func (e *Exporter) drain() {
 	defer close(e.done)
-	for ev := range e.queue {
-		e.tailMu.Lock()
-		e.tail[int(e.tailNext%int64(len(e.tail)))] = ev
-		e.tailNext++
-		e.tailMu.Unlock()
+	var rec flight.Record
+	for rec = range e.queue {
 		if e.sink != nil {
-			if err := e.sink.WriteEvent(&ev); err != nil {
+			if err := e.sink.WriteEvent(&rec); err != nil {
 				e.stats.sinkErrors.Add(1)
 			}
 		}
@@ -291,7 +253,7 @@ func (e *Exporter) drain() {
 
 // Close stops intake, drains the queue to the sink, closes the sink if
 // it is an io.Closer, and waits for the drain goroutine to finish.
-// Emit calls after Close are counted as drops. Idempotent.
+// Export calls after Close are counted as drops. Idempotent.
 func (e *Exporter) Close() error {
 	e.closeMu.Lock()
 	if e.closed {
@@ -318,23 +280,7 @@ func (e *Exporter) Stats() Stats {
 	}
 }
 
-// Tail returns up to n exported events, newest first (n <= 0 returns
-// everything held).
-func (e *Exporter) Tail(n int) []Event {
-	e.tailMu.Lock()
-	defer e.tailMu.Unlock()
-	held := int(min(e.tailNext, int64(len(e.tail))))
-	if n <= 0 || n > held {
-		n = held
-	}
-	out := make([]Event, 0, n)
-	for seq := e.tailNext; seq > e.tailNext-int64(n); seq-- {
-		out = append(out, e.tail[int((seq-1)%int64(len(e.tail)))])
-	}
-	return out
-}
-
-// Sync blocks until every event enqueued before the call has been
+// Sync blocks until every record enqueued before the call has been
 // processed by the drain goroutine (test helper; bounded by the queue
 // being finite).
 func (e *Exporter) Sync() {

@@ -13,22 +13,22 @@ import (
 	"repro/internal/flight"
 )
 
-// collectSink records every exported event, optionally sleeping per
+// collectSink records every exported record, optionally sleeping per
 // write to model a slow disk.
 type collectSink struct {
 	mu     sync.Mutex
 	delay  time.Duration
-	events []Event
+	events []flight.Record
 	closed bool
 }
 
-func (s *collectSink) WriteEvent(ev *Event) error {
+func (s *collectSink) WriteEvent(rec *flight.Record) error {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, *ev)
+	s.events = append(s.events, *rec)
 	return nil
 }
 
@@ -45,34 +45,49 @@ func (s *collectSink) len() int {
 	return len(s.events)
 }
 
-func solveEvent(outcome string, durMS float64) Event {
-	return Event{
-		Kind:     "solve",
-		Endpoint: "/v1/solve",
-		Record:   flight.Record{Engine: "exact", Outcome: outcome, DurationMS: durMS},
-	}
+func (s *collectSink) all() []flight.Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]flight.Record(nil), s.events...)
+}
+
+func solveEvent(outcome string, durMS float64) flight.Record {
+	return flight.Record{Kind: "solve", Endpoint: "/v1/solve", Engine: "exact", Outcome: outcome, DurationMS: durMS}
+}
+
+// emit runs one record through the pipeline the way the daemon does:
+// sample it, then export it.
+func emit(e *Exporter, rec flight.Record) {
+	e.Sample(&rec)
+	e.Export(rec)
 }
 
 // TestExporterAlwaysKeepsRemarkableEvents pins the tail-sampling
 // policy: errors, panics, invalid solutions and budget breaches survive
 // even with a zero sample rate.
 func TestExporterAlwaysKeepsRemarkableEvents(t *testing.T) {
-	e := New(Config{SampleRate: -1, Seed: 1})
+	sink := &collectSink{}
+	e := New(Config{Sink: sink, SampleRate: -1, Seed: 1})
 	defer e.Close()
 
-	e.Emit(solveEvent("error", 5))
-	e.Emit(solveEvent("panic", 5))
-	e.Emit(solveEvent("invalid", 5))
+	emit(e, solveEvent("error", 5))
+	emit(e, solveEvent("panic", 5))
+	emit(e, solveEvent("invalid", 5))
 	breach := solveEvent("solved", 2400)
 	breach.BudgetMS = 2000
 	breach.BudgetOverrunMS = 150
-	e.Emit(breach)
-	e.Emit(solveEvent("solved", 5)) // unremarkable: sampled out at rate<=0
+	emit(e, breach)
+	quiet := solveEvent("solved", 5) // unremarkable: sampled out at rate<=0
+	e.Sample(&quiet)
+	if quiet.SampleReason != "" {
+		t.Fatalf("unremarkable record kept with reason %q at rate -1", quiet.SampleReason)
+	}
+	e.Export(quiet)
 
 	e.Sync()
-	got := e.Tail(0)
+	got := sink.all()
 	if len(got) != 4 {
-		t.Fatalf("tail holds %d events, want 4: %+v", len(got), got)
+		t.Fatalf("sink holds %d events, want 4: %+v", len(got), got)
 	}
 	reasons := map[string]int{}
 	for _, ev := range got {
@@ -91,19 +106,20 @@ func TestExporterAlwaysKeepsRemarkableEvents(t *testing.T) {
 // checks an outlier far past the p95 survives with reason "slow" while
 // its ordinary siblings are sampled out.
 func TestExporterKeepsSlowTail(t *testing.T) {
-	e := New(Config{SampleRate: -1, Seed: 1})
+	sink := &collectSink{}
+	e := New(Config{Sink: sink, SampleRate: -1, Seed: 1})
 	defer e.Close()
 
 	// Warm the estimator past slowMinObs and a recompute boundary.
 	for i := 0; i < 64; i++ {
-		e.Emit(solveEvent("solved", 10+float64(i%5)))
+		emit(e, solveEvent("solved", 10+float64(i%5)))
 	}
-	e.Emit(solveEvent("solved", 500)) // 35x the window's p95
+	emit(e, solveEvent("solved", 500)) // 35x the window's p95
 	e.Sync()
 
-	got := e.Tail(0)
+	got := sink.all()
 	if len(got) != 1 || got[0].SampleReason != "slow" || got[0].DurationMS != 500 {
-		t.Fatalf("tail = %+v, want exactly the 500ms outlier kept as slow", got)
+		t.Fatalf("sink = %+v, want exactly the 500ms outlier kept as slow", got)
 	}
 }
 
@@ -112,7 +128,7 @@ func TestExporterKeepsSlowTail(t *testing.T) {
 func TestExporterProbabilisticRate(t *testing.T) {
 	e := New(Config{SampleRate: 1, Seed: 1})
 	for i := 0; i < 50; i++ {
-		e.Emit(solveEvent("solved", 10))
+		emit(e, solveEvent("solved", 10))
 	}
 	e.Close()
 	if st := e.Stats(); st.Kept != 50 || st.Exported != 50 {
@@ -122,7 +138,7 @@ func TestExporterProbabilisticRate(t *testing.T) {
 	e = New(Config{SampleRate: 0.2, Seed: 42, QueueSize: 4096})
 	const n = 2000
 	for i := 0; i < n; i++ {
-		e.Emit(solveEvent("solved", 10))
+		emit(e, solveEvent("solved", 10))
 	}
 	e.Close()
 	st := e.Stats()
@@ -138,11 +154,11 @@ func TestExporterProbabilisticRate(t *testing.T) {
 // TestExporterNeverBlocksOnSlowSink is the backpressure contract: with
 // a saturated sink, concurrent emitters finish promptly, events are
 // dropped rather than queued unboundedly, and the counters balance
-// exactly. Run under -race this also exercises the Emit/drain/Tail
+// exactly. Run under -race this also exercises the Export/drain
 // locking.
 func TestExporterNeverBlocksOnSlowSink(t *testing.T) {
 	sink := &collectSink{delay: 2 * time.Millisecond}
-	e := New(Config{Sink: sink, SampleRate: 1, Seed: 1, QueueSize: 8, TailSize: 8})
+	e := New(Config{Sink: sink, SampleRate: 1, Seed: 1, QueueSize: 8})
 
 	const workers, perWorker = 8, 50
 	start := time.Now()
@@ -152,8 +168,7 @@ func TestExporterNeverBlocksOnSlowSink(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				e.Emit(solveEvent("error", float64(i))) // always kept: queue pressure guaranteed
-				_ = e.Tail(4)
+				emit(e, solveEvent("error", float64(i))) // always kept: queue pressure guaranteed
 			}
 		}(w)
 	}
@@ -189,32 +204,10 @@ func TestExporterNeverBlocksOnSlowSink(t *testing.T) {
 		t.Fatal("Close did not close the sink")
 	}
 
-	// Post-close emits are counted drops, not panics.
-	e.Emit(solveEvent("error", 1))
+	// Post-close exports are counted drops, not panics.
+	emit(e, solveEvent("error", 1))
 	if st := e.Stats(); st.DroppedQueue == 0 || st.Emitted != total+1 {
 		t.Fatalf("post-close emit not counted as drop: %+v", st)
-	}
-}
-
-// TestExporterTailNewestFirst checks Tail ordering and bounding.
-func TestExporterTailNewestFirst(t *testing.T) {
-	e := New(Config{SampleRate: 1, Seed: 1, TailSize: 4})
-	defer e.Close()
-	for i := 0; i < 6; i++ {
-		e.Emit(solveEvent("solved", float64(i)))
-	}
-	e.Sync()
-	got := e.Tail(0)
-	if len(got) != 4 {
-		t.Fatalf("tail holds %d, want 4 (ring bound)", len(got))
-	}
-	for i, ev := range got {
-		if want := float64(5 - i); ev.DurationMS != want {
-			t.Fatalf("tail[%d].duration = %v, want %v (newest first)", i, ev.DurationMS, want)
-		}
-	}
-	if got := e.Tail(2); len(got) != 2 || got[0].DurationMS != 5 {
-		t.Fatalf("tail(2) = %+v", got)
 	}
 }
 
@@ -248,8 +241,8 @@ func TestFileSinkRotation(t *testing.T) {
 		}
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
-			var ev Event
-			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			var rec flight.Record
+			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 				t.Fatalf("%s holds a non-JSON line: %v", name, err)
 			}
 			lines++
@@ -290,7 +283,7 @@ func TestExporterCloseIdempotent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				e.Emit(solveEvent("solved", 1))
+				emit(e, solveEvent("solved", 1))
 			}
 		}()
 	}
@@ -301,5 +294,65 @@ func TestExporterCloseIdempotent(t *testing.T) {
 	st := e.Stats()
 	if st.Kept+st.SampledOut+st.DroppedQueue != st.Emitted {
 		t.Fatalf("counters don't balance after racing close: %+v", st)
+	}
+}
+
+// TestFileSinkLineGolden pins the exported JSON line — key set, key
+// order and nested shapes — for a record with every field populated, so
+// consumers of the -events file see a schema change only when one is
+// made on purpose. The golden line predates the merge of the wide event
+// into flight.Record and must not change with it.
+func TestFileSinkLineGolden(t *testing.T) {
+	obj := 4328.0
+	rec := flight.Record{
+		Seq:           7,
+		Time:          time.Date(2026, 1, 2, 3, 4, 5, 6000, time.UTC),
+		RequestDigest: "d1g35t",
+		LabelDigest:   "0123456789abcdef",
+		Key:           "k3y",
+		Engine:        "fallback",
+		Outcome:       "solved",
+		Objective:     &obj,
+		DurationMS:    12.5,
+		Cached:        true,
+		OriginSeq:     3,
+		Stages: []flight.Stage{
+			{Engine: "exact", Outcome: "no_solution", ElapsedMS: 10, Err: "budget"},
+			{Engine: "constructive", Outcome: "solved", ElapsedMS: 2.5},
+		},
+		Breakers: []flight.Breaker{{Engine: "exact", State: "closed", Trips: 1}},
+		Session: &flight.SessionStats{
+			SessionID: "s1", Events: 3, FragBefore: 0.25, FragAfter: 0.5,
+			Defrags: 1, Moves: 2, Retries: 1, Rollbacks: 1, WALRecords: 3,
+		},
+		Err:             "partial",
+		Kind:            "solve",
+		Endpoint:        "/v1/solve",
+		RequestID:       "req-1",
+		BudgetMS:        2000,
+		BudgetOverrunMS: 0.5,
+		SampleReason:    "budget",
+	}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	sink, err := NewFileSink(path, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.WriteEvent(&rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "event.golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("exported line changed.\ngot:  %s\nwant: %s", got, want)
 	}
 }
