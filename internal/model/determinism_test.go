@@ -110,3 +110,45 @@ func TestMILPPivotPathPinned(t *testing.T) {
 		t.Fatalf("%d nodes / %d pivots, want %d / %d", sol.Nodes, pivots, wantNodes, wantPivots)
 	}
 }
+
+// TestHOPivotPathPinned pins the node and pivot counts of one milp-ho
+// solve of a generated design with a metric-mode FC area, so the search
+// over the sequence-pair-restricted model cannot drift unnoticed either.
+func TestHOPivotPathPinned(t *testing.T) {
+	const wantNodes, wantPivots = 152, 3286
+	p := tinyGenerated(t, 14)
+	p.FCAreas = []core.FCRequest{{Region: 0, Mode: core.RelocMetric, Weight: 1}}
+	rec := obs.NewRecorder()
+	sol, err := (&HOEngine{}).Solve(context.Background(), p,
+		core.SolveOptions{Workers: 1, TimeLimit: 60 * time.Second, Probe: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Proven {
+		t.Fatal("not proven optimal")
+	}
+	if pivots := rec.Total(obs.Pivots); sol.Nodes != wantNodes || pivots != wantPivots {
+		t.Fatalf("%d nodes / %d pivots, want %d / %d", sol.Nodes, pivots, wantNodes, wantPivots)
+	}
+}
+
+// TestSDRNodeCappedPathPinned pins the node and pivot counts of milp-o on
+// the paper's SDR instance under a node cap: a search that stops on the
+// cap, not on a proof, still takes the same path every run, so any change
+// to node order, branching or pivoting on a full-size model shows here.
+func TestSDRNodeCappedPathPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("milp-o on SDR")
+	}
+	const maxNodes = 120
+	const wantNodes, wantPivots = 240, 16974
+	rec := obs.NewRecorder()
+	sol, err := (&OEngine{MaxNodes: maxNodes}).Solve(context.Background(), sdr.Problem(),
+		core.SolveOptions{Workers: 1, TimeLimit: 10 * time.Minute, Probe: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pivots := rec.Total(obs.Pivots); sol.Nodes != wantNodes || pivots != wantPivots {
+		t.Fatalf("%d nodes / %d pivots, want %d / %d", sol.Nodes, pivots, wantNodes, wantPivots)
+	}
+}
