@@ -14,7 +14,9 @@ import (
 // of re-solving from scratch.
 //
 // A Basis is immutable once returned by the solver and safe to share
-// across goroutines; warm solves copy it before mutating anything.
+// across goroutines; warm solves copy it before mutating anything. The
+// exception is a Basis handed to Workspace.RecycleBasis: that workspace's
+// next snapshot overwrites it.
 type Basis struct {
 	// Basic maps each constraint row to its basic column index
 	// (0..nStruct-1 structural, nStruct..nStruct+rows-1 slack).
@@ -242,10 +244,7 @@ func (s *simplex) snapshotBasis() *Basis {
 			return nil
 		}
 	}
-	b := &Basis{
-		Basic: make([]int32, s.m),
-		Stat:  make([]int8, nReal),
-	}
+	b := s.freeBasis(nReal)
 	for r, j := range s.basis {
 		b.Basic[r] = int32(j)
 	}
@@ -253,4 +252,20 @@ func (s *simplex) snapshotBasis() *Basis {
 		b.Stat[j] = int8(s.stat[j])
 	}
 	return b
+}
+
+// freeBasis pops a recycled Basis with room for m rows and nReal columns,
+// or allocates one when the free list has none.
+func (s *simplex) freeBasis(nReal int) *Basis {
+	for len(s.freeBases) > 0 {
+		k := len(s.freeBases) - 1
+		b := s.freeBases[k]
+		s.freeBases[k] = nil
+		s.freeBases = s.freeBases[:k]
+		if cap(b.Basic) >= s.m && cap(b.Stat) >= nReal {
+			b.Basic, b.Stat = b.Basic[:s.m], b.Stat[:nReal]
+			return b
+		}
+	}
+	return &Basis{Basic: make([]int32, s.m), Stat: make([]int8, nReal)}
 }

@@ -9,8 +9,9 @@
 // as an eta file that is rebuilt by sparse refactorization every 100
 // pivots, with a dual simplex for warm starts from an earlier basis.
 // Repeated solves of one model (branch-and-bound nodes) compile the
-// matrix once and reuse a Workspace, so a node solve allocates only its
-// results.
+// matrix once and reuse a Workspace, whose buffers, returned X and
+// recycled bases make a node solve allocation-free; released workspaces
+// go to a pool that later solves draw from.
 package lp
 
 import (

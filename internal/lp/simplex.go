@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -104,9 +105,10 @@ type sparseEntry struct {
 }
 
 // simplex holds the working state of a solve. It lives in a Workspace
-// and is reset, not reallocated, by each solve: NewWorkspace sizes its
+// and is reset, not reallocated, by each solve: NewWorkspace fits its
 // buffers once and solves reslice them (only the eta file and its arena
-// grow, and they keep their capacity across solves).
+// grow, and they keep their capacity across solves and, through the
+// workspace pool, across models).
 type simplex struct {
 	c       *Compiled
 	m, n    int // rows, total columns (structural + slack + artificial)
@@ -120,7 +122,12 @@ type simplex struct {
 	basis []int   // row -> column
 	stat  []vstat // column -> status
 	x     []float64
-	etas  []eta // product-form basis inverse
+	// xOut is the X of the last solution: the workspace owns it.
+	xOut []float64
+	// freeBases are recycled snapshots that snapshotBasis overwrites
+	// before it allocates a new one.
+	freeBases []*Basis
+	etas      []eta // product-form basis inverse
 	// etaRows and etaVals are the arena the etas' rows and vals slice
 	// into. They are truncated only together with etas.
 	etaRows  []int32
@@ -168,7 +175,11 @@ func SolveWithBounds(m *Model, opts Options, loOverride, hiOverride []float64) S
 	if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
 		return Solution{Status: StatusIterationLimit}
 	}
-	return Compile(m).NewWorkspace().SolveWithBounds(m, opts, loOverride, hiOverride)
+	w := Compile(m).NewWorkspace()
+	sol := w.SolveWithBounds(m, opts, loOverride, hiOverride)
+	sol.X = slices.Clone(sol.X) // the caller's, not the pooled workspace's
+	w.Release()
+	return sol
 }
 
 // solve runs one solve of the compiled model on s: a warm start when
@@ -239,9 +250,10 @@ func (s *simplex) solve(opts Options, loOverride, hiOverride []float64) Solution
 	return s.solution(opts.ReturnBasis)
 }
 
-// solution packages the optimal point currently held by the simplex.
+// solution packages the optimal point currently held by the simplex. Its
+// X is s.xOut, overwritten by the next solution.
 func (s *simplex) solution(returnBasis bool) Solution {
-	x := make([]float64, s.nStruct)
+	x := s.xOut[:s.nStruct]
 	copy(x, s.x[:s.nStruct])
 	obj := 0.0
 	for j := 0; j < s.nStruct; j++ {

@@ -1,6 +1,10 @@
 package lp
 
-import "repro/internal/obs"
+import (
+	"sync"
+
+	"repro/internal/obs"
+)
 
 // Compiled is a model's constraint matrix in the column-major form the
 // simplex works on: the structural columns, one slack column per row with
@@ -98,46 +102,106 @@ func (c *Compiled) artificial(r int, sign float64) []sparseEntry {
 
 // Workspace is the reusable working state of repeated solves of one
 // compiled model under different bounds and warm bases: the simplex
-// vectors, the factorization scratch, the warm-start mask and one flat
-// arena for the eta file. A solve through a workspace does the same
-// arithmetic as a fresh solve, pivot for pivot, and allocates only its
-// returned X and Basis. A Workspace is not safe for concurrent use; give
-// each goroutine its own.
+// vectors, the factorization scratch, the warm-start mask, one flat arena
+// for the eta file, the returned X and a free list of Basis snapshots. A
+// solve through a workspace does the same arithmetic as a fresh solve,
+// pivot for pivot, and allocates nothing once its eta arena has grown and
+// RecycleBasis has handed it a basis to reuse.
+//
+// Lifetimes: the X of a workspace solve is a workspace-owned buffer,
+// valid until the next solve on the same workspace (or Release); copy it
+// to keep it. The Basis is the caller's and immutable, safe to share
+// across goroutines, until the caller passes it to RecycleBasis; the
+// next snapshot may then overwrite it. A Workspace is not safe for
+// concurrent use; give each goroutine its own.
 type Workspace struct {
 	s simplex
 }
 
-// NewWorkspace allocates a workspace for solves of c's model. Every
-// buffer is sized for the largest solve, with one artificial per row.
+// workspacePool holds released workspaces, whose buffers NewWorkspace
+// refits to the next compiled model instead of allocating them again.
+var workspacePool sync.Pool
+
+// NewWorkspace returns a workspace for solves of c's model, taken from
+// the pool of released workspaces when one is there. Every buffer is
+// sized for the largest solve, with one artificial per row.
 func (c *Compiled) NewWorkspace() *Workspace {
+	w, _ := workspacePool.Get().(*Workspace)
+	if w == nil {
+		w = &Workspace{}
+	}
+	w.s.bind(c)
+	return w
+}
+
+// bind fits every buffer of s to c, reusing the capacity it has. The
+// buffers whose contents a solve relies on between calls (the
+// factorization marks, counts and work vector, all zero at rest) are
+// cleared; a solve rewrites the others before reading them.
+func (s *simplex) bind(c *Compiled) {
 	total := c.nStruct + c.m
 	capN := total + c.m
-	w := &Workspace{}
-	s := &w.s
 	s.c = c
-	s.cols = make([][]sparseEntry, total, capN)
+	s.cols = fit(s.cols, total, capN)
 	copy(s.cols, c.cols)
-	s.lo = make([]float64, total, capN)
-	s.hi = make([]float64, total, capN)
-	s.cost = make([]float64, 0, capN)
-	s.cost2 = make([]float64, total, capN)
-	s.x = make([]float64, 0, capN)
-	s.stat = make([]vstat, 0, capN)
-	s.inBasis = make([]bool, capN)
-	s.basis = make([]int, c.m)
-	s.y = make([]float64, c.m)
-	s.alpha = make([]float64, c.m)
-	s.rho = make([]float64, c.m)
-	s.d = make([]float64, 0, capN)
-	s.arow = make([]float64, 0, capN)
-	s.forder = make([]int, c.m)
-	s.fcount = make([]int, c.maxColLen+2)
-	s.fpivoted = make([]bool, c.m)
-	s.fbasis = make([]int, c.m)
-	s.fmark = make([]bool, c.m)
-	s.find = make([]int32, 0, 64)
-	s.fwork = make([]float64, c.m)
-	return w
+	s.lo = fit(s.lo, total, capN)
+	s.hi = fit(s.hi, total, capN)
+	s.cost = fit(s.cost, 0, capN)
+	s.cost2 = fit(s.cost2, total, capN)
+	s.x = fit(s.x, 0, capN)
+	s.xOut = fit(s.xOut, c.nStruct, c.nStruct)
+	s.stat = fit(s.stat, 0, capN)
+	s.inBasis = fit(s.inBasis, capN, capN)
+	s.basis = fit(s.basis, c.m, c.m)
+	s.y = fit(s.y, c.m, c.m)
+	s.alpha = fit(s.alpha, c.m, c.m)
+	s.rho = fit(s.rho, c.m, c.m)
+	s.d = fit(s.d, 0, capN)
+	s.arow = fit(s.arow, 0, capN)
+	s.forder = fit(s.forder, c.m, c.m)
+	s.fcount = fit(s.fcount, c.maxColLen+2, c.maxColLen+2)
+	s.fpivoted = fit(s.fpivoted, c.m, c.m)
+	s.fbasis = fit(s.fbasis, c.m, c.m)
+	s.fmark = fit(s.fmark, c.m, c.m)
+	s.find = fit(s.find, 0, 64)
+	s.fwork = fit(s.fwork, c.m, c.m)
+	clear(s.fcount)
+	clear(s.fmark)
+	clear(s.fwork)
+	s.resetEtas()
+}
+
+// fit returns buf resliced to length n, or a new slice of capacity
+// capN when buf's is smaller.
+func fit[T any](buf []T, n, capN int) []T {
+	if cap(buf) < capN {
+		return make([]T, n, capN)
+	}
+	return buf[:n]
+}
+
+// Release returns w's buffers to the pool that NewWorkspace draws from.
+// Neither w nor an X it returned may be used afterwards. Bases on its
+// free list are dropped; bases the caller still holds stay valid.
+func (w *Workspace) Release() {
+	s := &w.s
+	// Drop every reference into the compiled model and into old arenas,
+	// so a pooled workspace keeps only its own buffers alive.
+	clear(s.cols[:cap(s.cols)])
+	clear(s.etas[:cap(s.etas)])
+	clear(s.freeBases)
+	s.freeBases = s.freeBases[:0]
+	s.c, s.b = nil, nil
+	workspacePool.Put(w)
+}
+
+// RecycleBasis hands b, a Basis that no one reads any more, to w for its
+// next snapshot to overwrite. b must not be used after the call. A nil b
+// is ignored.
+func (w *Workspace) RecycleBasis(b *Basis) {
+	if b != nil {
+		w.s.freeBases = append(w.s.freeBases, b)
+	}
 }
 
 // SolveWithBounds is the package-level SolveWithBounds reusing w's

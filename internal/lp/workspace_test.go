@@ -180,9 +180,10 @@ func TestWorkspaceOtherModel(t *testing.T) {
 	}
 }
 
-// TestWarmNodeSolveAllocations pins the point of the workspace: a
-// warm-started node solve allocates its returned X and Basis (the Basis
-// struct and its two slices) and nothing else.
+// TestWarmNodeSolveAllocations pins the point of the workspace: once its
+// eta arena has grown and its basis free list holds a recycled snapshot,
+// a warm-started node solve allocates nothing. X lives in the workspace
+// and the Basis is the recycled one, overwritten.
 func TestWarmNodeSolveAllocations(t *testing.T) {
 	m := nodeLP()
 	root := Solve(m, Options{ReturnBasis: true})
@@ -199,21 +200,67 @@ func TestWarmNodeSolveAllocations(t *testing.T) {
 	ws := Compile(m).NewWorkspace()
 	opts := Options{WarmBasis: root.Basis, ReturnBasis: true}
 	sol := ws.SolveWithBounds(m, opts, lo, hi)
-	if sol.Status != StatusOptimal || sol.Iterations == 0 {
+	if sol.Status != StatusOptimal || sol.Iterations == 0 || sol.Basis == nil {
 		t.Fatalf("node solve: %v", sol)
 	}
+	ws.RecycleBasis(sol.Basis)
 	arena := cap(ws.s.etaRows)
 	allocs := testing.AllocsPerRun(50, func() {
-		ws.SolveWithBounds(m, opts, lo, hi)
+		sol := ws.SolveWithBounds(m, opts, lo, hi)
+		ws.RecycleBasis(sol.Basis)
 	})
-	const outputs = 4 // X, *Basis, Basis.Basic, Basis.Stat
-	if allocs > outputs {
-		t.Fatalf("warm node solve allocates %.2f times, want at most %d", allocs, outputs)
+	if allocs != 0 {
+		t.Fatalf("warm node solve allocates %.2f times, want none", allocs)
 	}
 	// The arena is reset with the eta file, so repeating a solve never
 	// grows it.
 	if got := cap(ws.s.etaRows); got != arena {
 		t.Fatalf("eta arena grew from %d to %d entries over repeated solves", arena, got)
+	}
+}
+
+// TestRecycledBasisMatchesFresh recycles every returned basis at once
+// and requires the overwritten snapshot to equal a fresh solve's.
+func TestRecycledBasisMatchesFresh(t *testing.T) {
+	m := nodeLP()
+	ws := Compile(m).NewWorkspace()
+	rng := rand.New(rand.NewSource(9))
+	stale := &Basis{Basic: make([]int32, 1), Stat: make([]int8, 1)} // too small to reuse
+	ws.RecycleBasis(stale)
+	for trial := 0; trial < 60; trial++ {
+		lo, hi := nanBounds(m.NumVariables())
+		branchBounds(rng, m, lo, hi)
+		got := ws.SolveWithBounds(m, Options{ReturnBasis: true}, lo, hi)
+		want := SolveWithBounds(m, Options{ReturnBasis: true}, lo, hi)
+		sameSolution(t, fmt.Sprintf("trial %d", trial), got, want)
+		if got.Basis == stale {
+			t.Fatal("a basis too small for the model was reused")
+		}
+		ws.RecycleBasis(got.Basis)
+	}
+}
+
+// TestReleasedWorkspaceRefits solves a large model, releases the
+// workspace, and requires the pooled buffers refitted to a smaller and
+// then a larger model to give fresh solves' answers.
+func TestReleasedWorkspaceRefits(t *testing.T) {
+	small := NewModel()
+	x := small.AddVariable("x", 0, 4, -1)
+	y := small.AddVariable("y", 0, 4, -2)
+	small.AddConstraint("c", []Term{{x, 1}, {y, 1}}, GE, 5)
+	small.AddConstraint("d", []Term{{x, 1}, {y, 2}}, LE, 9)
+	big := nodeLP()
+	for _, m := range []*Model{big, small, big, small} {
+		ws := Compile(m).NewWorkspace()
+		poison(&ws.s)
+		lo, hi := nanBounds(m.NumVariables())
+		got := ws.SolveWithBounds(m, Options{ReturnBasis: true}, lo, hi)
+		got.X = append([]float64(nil), got.X...)
+		ws.Release()
+		var ref Workspace // never pooled
+		ref.s.bind(Compile(m))
+		want := ref.SolveWithBounds(m, Options{ReturnBasis: true}, lo, hi)
+		sameSolution(t, fmt.Sprintf("%d variables", m.NumVariables()), got, want)
 	}
 }
 

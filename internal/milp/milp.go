@@ -14,6 +14,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lp"
@@ -106,19 +107,38 @@ type Options struct {
 	Obs obs.Span
 }
 
+// node is one open subproblem. It stores only the bound its branching
+// tightened; the full override vectors are rebuilt by the worker that
+// solves it (worker.bounds) from the chain of parents.
 type node struct {
-	lo, hi []float64 // bound overrides (NaN = model bound)
-	bound  float64   // parent relaxation objective (lower bound)
+	parent *node   // nil at the root
+	br     *branch // the branching that made this node; nil at the root
+	v      lp.VarID
+	val    float64 // the new bound on v: lower when up, upper otherwise
+	up     bool
+	bound  float64 // parent relaxation objective (lower bound)
 	depth  int
-	// basis is the parent relaxation's optimal basis; the node's LP is
-	// warm started from it with the dual simplex. Nil (cold solve) at the
-	// root and when the open-node queue grew past warmBasisQueueCap.
-	basis *lp.Basis
 }
 
-// warmBasisQueueCap bounds how many queued nodes may hold a basis
-// snapshot: beyond this the snapshots are dropped (nodes re-solve cold)
-// so a wide search cannot hold O(queue * m) floats alive.
+// branch is one branching of a node: its two children, allocated
+// together, and the parent relaxation's optimal basis they share. Each
+// child's LP is warm started from the basis with the dual simplex. The
+// basis is nil (cold solve) when the open-node queue had grown past
+// warmBasisQueueCap, or when the snapshot held an artificial.
+type branch struct {
+	kids  [2]node
+	basis *lp.Basis
+	// refs counts the children that have not yet let go of basis. The
+	// child that drops it to zero clears basis and recycles it, so the
+	// parent chains of deeper nodes never keep a basis alive.
+	refs atomic.Int32
+}
+
+// warmBasisQueueCap bounds how many queued nodes may share a basis
+// snapshot: beyond this the snapshots are recycled at once (nodes
+// re-solve cold) so a wide search cannot hold O(queue * m) ints alive.
+// A queued node retains its chain of ancestors, small structs without
+// bases once consumed, plus at most one shared basis: its own branch's.
 const warmBasisQueueCap = 1024
 
 // nodeQueue is a best-bound min-heap with depth as tie-break (deeper first,
@@ -207,12 +227,7 @@ func Solve(ctx context.Context, m *lp.Model, opts Options) Result {
 		st.tryWarmStart(opts.WarmStart)
 	}
 
-	root := &node{
-		lo:    nanSlice(m.NumVariables()),
-		hi:    nanSlice(m.NumVariables()),
-		bound: math.Inf(-1),
-	}
-	heap.Push(&st.queue, root)
+	heap.Push(&st.queue, &node{bound: math.Inf(-1)})
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -288,15 +303,25 @@ type search struct {
 	lpCut bool
 }
 
-// worker is the private state of one node processor: its LP workspace
-// and the rounding heuristic's buffer.
+// worker is the private state of one node processor: its LP workspace,
+// the rounding heuristic's buffer and the bound overrides of the node
+// being solved.
 type worker struct {
 	ws      *lp.Workspace
 	rounded []float64
+	// lo and hi are NaN except for the variables listed in touched.
+	lo, hi  []float64
+	touched []lp.VarID
 }
 
 func (st *search) newWorker() *worker {
-	return &worker{ws: st.compiled.NewWorkspace(), rounded: make([]float64, st.model.NumVariables())}
+	n := st.model.NumVariables()
+	return &worker{
+		ws:      st.compiled.NewWorkspace(),
+		rounded: make([]float64, n),
+		lo:      nanSlice(n),
+		hi:      nanSlice(n),
+	}
 }
 
 func nanSlice(n int) []float64 {
@@ -306,6 +331,48 @@ func nanSlice(n int) []float64 {
 	}
 	return s
 }
+
+// bounds rebuilds nd's bound overrides in w's buffers: it resets the
+// entries the previous node set, then walks nd's chain up to the root,
+// where the deepest bound on a variable wins (a child's bound replaces
+// its ancestors').
+func (w *worker) bounds(nd *node) (lo, hi []float64) {
+	nan := math.NaN()
+	for _, v := range w.touched {
+		w.lo[v], w.hi[v] = nan, nan
+	}
+	w.touched = w.touched[:0]
+	for n := nd; n.parent != nil; n = n.parent {
+		b := w.hi
+		if n.up {
+			b = w.lo
+		}
+		if math.IsNaN(b[n.v]) {
+			b[n.v] = n.val
+			w.touched = append(w.touched, n.v)
+		}
+	}
+	return w.lo, w.hi
+}
+
+// release drops nd's hold on its branch's basis once nd is solved or
+// pruned. The last child to let go clears the branch's reference and
+// hands the basis to w's workspace for its next snapshot.
+func (w *worker) release(nd *node) {
+	br := nd.br
+	if br == nil || br.basis == nil {
+		return
+	}
+	if br.refs.Add(-1) == 0 {
+		b := br.basis
+		br.basis = nil
+		recycleBasis(w.ws, b)
+	}
+}
+
+// recycleBasis returns a basis no node reads any more to ws. It is a
+// variable so tests can poison recycled bases.
+var recycleBasis = (*lp.Workspace).RecycleBasis
 
 func (st *search) tryWarmStart(x []float64) {
 	rounded := append([]float64(nil), x...)
@@ -354,6 +421,7 @@ func (st *search) outOfBudget() bool {
 
 func (st *search) runSequential() {
 	w := st.newWorker()
+	defer w.ws.Release()
 	for {
 		st.mu.Lock()
 		if len(st.queue) == 0 {
@@ -369,6 +437,7 @@ func (st *search) runSequential() {
 		// Bound-based prune before paying for the LP.
 		if nd.bound >= st.incumbent-1e-9 {
 			st.mu.Unlock()
+			w.release(nd)
 			st.sp.Add(obs.Pruned, 1)
 			continue
 		}
@@ -394,6 +463,7 @@ func (st *search) runParallel(workers int) {
 	work := func() {
 		defer wg.Done()
 		w := st.newWorker()
+		defer w.ws.Release()
 		for {
 			st.mu.Lock()
 			for len(st.queue) == 0 && st.active > 0 && !done {
@@ -417,6 +487,7 @@ func (st *search) runParallel(workers int) {
 			nd := heap.Pop(&st.queue).(*node)
 			if nd.bound >= st.incumbent-1e-9 {
 				st.mu.Unlock()
+				w.release(nd)
 				st.sp.Add(obs.Pruned, 1)
 				continue
 			}
@@ -457,12 +528,26 @@ func (st *search) runParallel(workers int) {
 }
 
 // processNode solves the node relaxation on w's workspace, prunes or
-// branches.
+// branches. sol.X is w's workspace buffer, valid until w's next solve;
+// incumbents are copied out of it.
 func (st *search) processNode(w *worker, nd *node) {
 	lpOpts := st.lpOpts
 	lpOpts.ReturnBasis = true
-	lpOpts.WarmBasis = nd.basis
-	sol := w.ws.SolveWithBounds(st.model, lpOpts, nd.lo, nd.hi)
+	if nd.br != nil {
+		lpOpts.WarmBasis = nd.br.basis
+	}
+	lo, hi := w.bounds(nd)
+	sol := w.ws.SolveWithBounds(st.model, lpOpts, lo, hi)
+	w.release(nd)
+	if !st.expand(w, nd, sol) {
+		recycleBasis(w.ws, sol.Basis)
+	}
+}
+
+// expand prunes nd on its relaxation sol, takes an integral sol as an
+// incumbent, or pushes nd's two children. It reports whether the
+// children took sol.Basis.
+func (st *search) expand(w *worker, nd *node, sol lp.Solution) bool {
 	switch sol.Status {
 	case lp.StatusInfeasible:
 		if nd.depth == 0 {
@@ -470,7 +555,7 @@ func (st *search) processNode(w *worker, nd *node) {
 			st.rootInfeasible = true
 			st.mu.Unlock()
 		}
-		return
+		return false
 	case lp.StatusUnbounded:
 		if nd.depth == 0 {
 			st.mu.Lock()
@@ -478,7 +563,7 @@ func (st *search) processNode(w *worker, nd *node) {
 			st.stopped = true
 			st.mu.Unlock()
 		}
-		return
+		return false
 	case lp.StatusOptimal:
 	default:
 		// Iteration limit, deadline or numerical trouble: without a
@@ -489,7 +574,7 @@ func (st *search) processNode(w *worker, nd *node) {
 			st.mu.Lock()
 			st.lpCut = true
 			st.mu.Unlock()
-			return
+			return false
 		}
 	}
 
@@ -498,7 +583,7 @@ func (st *search) processNode(w *worker, nd *node) {
 	st.mu.Unlock()
 	if sol.Objective >= cutoff-1e-9 {
 		st.sp.Add(obs.Pruned, 1)
-		return // bound prune
+		return false // bound prune
 	}
 
 	branchVar := st.mostFractional(sol.X)
@@ -509,7 +594,7 @@ func (st *search) processNode(w *worker, nd *node) {
 			x[v] = math.Round(x[v])
 		}
 		st.accept(st.model.Objective(x), x)
-		return
+		return false
 	}
 
 	// Rounding heuristic: nearest-integer (then floor) rounding of the
@@ -539,32 +624,21 @@ func (st *search) processNode(w *worker, nd *node) {
 
 	v := sol.X[branchVar]
 	floor := math.Floor(v + st.intTol)
-	// Down child: x <= floor.
-	down := &node{
-		lo:    append([]float64(nil), nd.lo...),
-		hi:    append([]float64(nil), nd.hi...),
-		bound: sol.Objective,
-		depth: nd.depth + 1,
-		basis: sol.Basis,
-	}
-	down.hi[branchVar] = floor
-	// Up child: x >= floor+1.
-	up := &node{
-		lo:    append([]float64(nil), nd.lo...),
-		hi:    append([]float64(nil), nd.hi...),
-		bound: sol.Objective,
-		depth: nd.depth + 1,
-		basis: sol.Basis,
-	}
-	up.lo[branchVar] = floor + 1
+	br := &branch{}
+	// Down child: x <= floor. Up child: x >= floor+1.
+	br.kids[0] = node{parent: nd, br: br, v: branchVar, val: floor, bound: sol.Objective, depth: nd.depth + 1}
+	br.kids[1] = node{parent: nd, br: br, v: branchVar, val: floor + 1, up: true, bound: sol.Objective, depth: nd.depth + 1}
 
 	st.mu.Lock()
-	if len(st.queue) > warmBasisQueueCap {
-		down.basis, up.basis = nil, nil
+	shared := sol.Basis != nil && len(st.queue) <= warmBasisQueueCap
+	if shared {
+		br.basis = sol.Basis
+		br.refs.Store(2)
 	}
-	heap.Push(&st.queue, down)
-	heap.Push(&st.queue, up)
+	heap.Push(&st.queue, &br.kids[0])
+	heap.Push(&st.queue, &br.kids[1])
 	st.mu.Unlock()
+	return shared
 }
 
 // mostFractional returns the integer variable whose relaxation value is

@@ -175,32 +175,40 @@ func enumerate(m *lp.Model, lo, hi []int) (float64, []float64, bool) {
 	return best, bestX, bestX != nil
 }
 
+// randomIP builds a small random pure-integer program of seed: two to
+// five boxed integer variables and up to four mixed-sense rows. It
+// returns the variable boxes too, for enumerate.
+func randomIP(seed int64) (m *lp.Model, lo, hi []int) {
+	rng := rand.New(rand.NewSource(seed))
+	m = lp.NewModel()
+	n := 2 + rng.Intn(4)
+	lo = make([]int, n)
+	hi = make([]int, n)
+	for v := 0; v < n; v++ {
+		lo[v] = rng.Intn(3) - 1
+		hi[v] = lo[v] + rng.Intn(4)
+		m.AddInteger("x", float64(lo[v]), float64(hi[v]), float64(rng.Intn(15)-7))
+	}
+	for c := 0; c < 1+rng.Intn(4); c++ {
+		var terms []lp.Term
+		for v := 0; v < n; v++ {
+			if rng.Intn(3) > 0 {
+				terms = append(terms, lp.Term{Var: lp.VarID(v), Coef: float64(rng.Intn(9) - 4)})
+			}
+		}
+		if len(terms) == 0 {
+			continue
+		}
+		m.AddConstraint("c", terms, lp.Sense(rng.Intn(3)), float64(rng.Intn(15)-7))
+	}
+	return m, lo, hi
+}
+
 // TestRandomIPAgainstEnumeration cross-checks branch-and-bound against
 // exhaustive enumeration on random small pure-integer programs.
 func TestRandomIPAgainstEnumeration(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := lp.NewModel()
-		n := 2 + rng.Intn(4)
-		lo := make([]int, n)
-		hi := make([]int, n)
-		for v := 0; v < n; v++ {
-			lo[v] = rng.Intn(3) - 1
-			hi[v] = lo[v] + rng.Intn(4)
-			m.AddInteger("x", float64(lo[v]), float64(hi[v]), float64(rng.Intn(15)-7))
-		}
-		for c := 0; c < 1+rng.Intn(4); c++ {
-			var terms []lp.Term
-			for v := 0; v < n; v++ {
-				if rng.Intn(3) > 0 {
-					terms = append(terms, lp.Term{Var: lp.VarID(v), Coef: float64(rng.Intn(9) - 4)})
-				}
-			}
-			if len(terms) == 0 {
-				continue
-			}
-			m.AddConstraint("c", terms, lp.Sense(rng.Intn(3)), float64(rng.Intn(15)-7))
-		}
+		m, lo, hi := randomIP(seed)
 		want, _, feasible := enumerate(m, lo, hi)
 		res := Solve(context.Background(), m, Options{})
 		if !feasible {
