@@ -9,7 +9,7 @@
 #                  branch-and-bound node cost (allocs/node), the mask
 #                  overlap test, exact-search node cost (ns/node), the
 #                  config-memory load/unload/relocate cost and the
-#                  session's per-event Apply cost
+#                  session's per-event Apply cost (in memory and durable)
 #   make obs-bench telemetry + profile-label overhead benchmarks (bare vs
 #                  no-op vs span-timing recorder; labels off vs on)
 #   make diag-smoke boot floorpland with chaos + fault injection, force an

@@ -140,9 +140,10 @@ func TestCrashRecoveryMatchesControl(t *testing.T) {
 	}
 }
 
-// TestRecoveryToleratesTornTail: garbage appended to events.wal (a torn
-// final write) must not block recovery — the clean prefix is replayed
-// and the tear is reported.
+// TestRecoveryToleratesTornTail: garbage at the log's write offset (a
+// torn final append, which overwrites the end marker there) must not
+// block recovery — the clean prefix is replayed and the tear is
+// reported.
 func TestRecoveryToleratesTornTail(t *testing.T) {
 	dev := device.VirtexFX70T()
 	dir := t.TempDir()
@@ -153,13 +154,14 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 		}
 	}
 	digest := m.FrameDigest()
+	off := store.off
 	store.Close()
 
-	f, err := os.OpenFile(filepath.Join(dir, eventsFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, eventsFile), os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+	if _, err := f.WriteAt([]byte{0xde, 0xad, 0xbe}, off); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -337,8 +337,9 @@ func (m *Manager) Apply(ev Event) (*EventResult, error) {
 		}
 		m.sinceSnapshot++
 		if m.sinceSnapshot >= m.cfg.SnapshotEvery {
-			// A failed compaction is not fatal: the WAL still holds every
-			// record, so durability is intact; the next event retries.
+			// A failed compaction fails the store: this event's record is
+			// already durable, and the next append reports the error, so
+			// nothing past it is acknowledged.
 			_ = m.snapshotLocked()
 		}
 	}
@@ -390,7 +391,7 @@ func sortedKeys(m map[string]persistedModule) []string {
 }
 
 // snapshotLocked compacts the session's durable state: persists a full
-// snapshot and truncates the WAL. Callers hold m.mu (or own m
+// snapshot and restarts the WAL. Callers hold m.mu (or own m
 // exclusively, as in New and Restore).
 func (m *Manager) snapshotLocked() error {
 	m.stats.Snapshots++

@@ -381,24 +381,43 @@ func TestWorkloadDigestGolden(t *testing.T) {
 }
 
 // BenchmarkSessionApply times Manager.Apply per event over a fixed
-// seeded workload on FX70T (no store: the WAL is not timed). A fresh
-// session starts, untimed, whenever the stream runs out.
+// seeded workload on FX70T. "memory" has no store, so the WAL is not
+// timed; "durable" adds a store in a temporary directory at the default
+// SnapshotEvery, so each event pays its WAL append and fsync and every
+// 64th its snapshot. A fresh session starts, untimed, whenever the
+// stream runs out.
 func BenchmarkSessionApply(b *testing.B) {
 	events := GenerateWorkload(WorkloadConfig{Seed: 1001, Events: 4000})
-	cfg := Config{Device: device.VirtexFX70T(), Engine: &heuristic.Constructive{}, SolveBudget: 100 * time.Millisecond}
-	var m *Manager
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%len(events) == 0 {
-			b.StopTimer()
-			var err error
-			if m, err = New(cfg); err != nil {
-				b.Fatal(err)
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			var m *Manager
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%len(events) == 0 {
+					b.StopTimer()
+					cfg := Config{Device: device.VirtexFX70T(), Engine: &heuristic.Constructive{}, SolveBudget: 100 * time.Millisecond}
+					if durable {
+						store, err := OpenStore(b.TempDir())
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.Cleanup(func() { store.Close() })
+						cfg.Store = store
+					}
+					var err error
+					if m, err = New(cfg); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := m.Apply(events[i%len(events)]); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.StartTimer()
-		}
-		if _, err := m.Apply(events[i%len(events)]); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }

@@ -81,10 +81,13 @@ func TestWALBadMagic(t *testing.T) {
 	}
 }
 
-// FuzzWALReplay feeds arbitrary bytes through the WAL decoder:
-// truncated, bit-flipped and duplicated records must always yield a
-// clean prefix plus a structured corruption error — never a panic, and
-// never a record that fails to re-encode byte-identically.
+// FuzzWALReplay feeds arbitrary bytes through the WAL decoder and, as a
+// session's events.wal behind a generation-2 snapshot, through
+// Store.Load: truncated, bit-flipped and duplicated records, end markers
+// and stale generations must always yield a clean prefix plus a
+// structured corruption error — never a panic, never a record that
+// fails to re-encode byte-identically, and never a loaded record of
+// another generation.
 func FuzzWALReplay(f *testing.F) {
 	valid := func(payloads ...[]byte) []byte {
 		var buf bytes.Buffer
@@ -104,11 +107,21 @@ func FuzzWALReplay(f *testing.F) {
 	flipped := valid(rec, []byte(`{"result":{"seq":2}}`))
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
+	gen2 := []byte(`{"gen":2,"result":{"seq":9,"placed":true}}`)
+	gen1 := []byte(`{"gen":1,"result":{"seq":3}}`)
+	ended := append(valid(gen2), walEnd[:]...)
+	f.Add(ended)                                  // end marker
+	f.Add(append(bytes.Clone(ended), gen1...))    // stale bytes past the marker
+	f.Add(valid(gen2, gen1))                      // stale generation, no marker
+	f.Add(valid(gen1, gen2))                      // restarted log not yet overwritten
+	f.Add(valid([]byte(`{"gen":3,"result":{}}`))) // newer than the snapshot
+	f.Add(append(valid(gen2), walEnd[:5]...))     // torn end marker
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records, corrupt := readWALFramesBytes(data)
 		if corrupt == nil && len(data) > 0 {
-			// A clean decode must round-trip byte-identically.
+			// A clean decode must round-trip byte-identically, up to the
+			// end marker when it stopped at one.
 			var buf bytes.Buffer
 			buf.WriteString(walMagic)
 			for _, r := range records {
@@ -116,7 +129,8 @@ func FuzzWALReplay(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			if !bytes.Equal(buf.Bytes(), data) {
+			rest, ok := bytes.CutPrefix(data, buf.Bytes())
+			if !ok || (len(rest) > 0 && !bytes.HasPrefix(rest, walEnd[:])) {
 				t.Fatalf("clean decode did not round-trip: %d in, %d out", len(data), buf.Len())
 			}
 		}
@@ -128,6 +142,31 @@ func FuzzWALReplay(f *testing.F) {
 		for _, payload := range records {
 			var rec walRecord
 			_ = json.Unmarshal(payload, &rec)
+		}
+
+		var snap bytes.Buffer
+		snap.WriteString(walMagic)
+		if err := writeWALFrame(&snap, []byte(`{"gen":2,"meta":{"id":"fuzz"}}`)); err != nil {
+			t.Fatal(err)
+		}
+		store, err := openStore("fuzz", newMemFS(map[string][]byte{slotFiles[0]: snap.Bytes(), eventsFile: data}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr, err := store.Load()
+		if err != nil {
+			return // a record newer than every snapshot is a hard error
+		}
+		if len(lr.Records) > len(records) {
+			t.Fatalf("Load kept %d records, the decoder only %d", len(lr.Records), len(records))
+		}
+		for i, r := range lr.Records {
+			if r.Gen != 2 {
+				t.Fatalf("loaded record %d has generation %d behind a generation-2 snapshot", i, r.Gen)
+			}
+		}
+		if lr.Torn != nil && lr.Torn.Reason == "" {
+			t.Fatal("tear reported without a reason")
 		}
 	})
 }
