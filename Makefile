@@ -16,12 +16,6 @@
 #                  anomaly, and verify one diagnostic bundle lands and the
 #                  recovered solve's span seconds reach /metrics (the CI
 #                  diag job; artifacts under DIAG_SMOKE_DIR)
-#   make sim-json  run the floorsim online-session driver and validate
-#                  SIM.json (tune with SIM_DEVICE/SIM_EVENTS/SIM_SEED/
-#                  SIM_INTENSITY; CI runs the seeded smoke)
-#   make sim-faults run the floorsim soak under injected reconfiguration
-#                  faults (SIM_FAULT_SEED) and validate the report —
-#                  proves zero corrupted frames and zero lost tasks
 #   make fuzz      short fuzz smoke over the wire-format decoders and the
 #                  config-memory differential test (FUZZTIME=10s per
 #                  target by default)
@@ -30,16 +24,7 @@ GO       ?= go
 BIN      := bin
 FUZZTIME ?= 10s
 
-SIM_DEVICE    ?= fx70t
-SIM_EVENTS    ?= 250
-SIM_SEED      ?= 7
-SIM_INTENSITY ?= 0.6
-SIM_OUT       ?= SIM.json
-
-SIM_FAULT_SEED ?= 7
-SIM_FAULTS_OUT ?= SIM_FAULTS.json
-
-.PHONY: check fmt vet build test race bench obs-bench diag-smoke sim-json sim-faults fuzz serve clean
+.PHONY: check fmt vet build test race bench obs-bench diag-smoke fuzz serve clean
 
 # perfbench is a nested module, so ./... in vet and race never builds it.
 check: fmt vet build race
@@ -62,7 +47,6 @@ build:
 	$(GO) build -o $(BIN)/floorpland   ./cmd/floorpland
 	$(GO) build -o $(BIN)/relocate     ./cmd/relocate
 	$(GO) build -o $(BIN)/experiments  ./cmd/experiments
-	$(GO) build -o $(BIN)/floorsim     ./cmd/floorsim
 	$(GO) build -o $(BIN)/floorplanctl ./cmd/floorplanctl
 
 test:
@@ -84,20 +68,6 @@ obs-bench:
 
 diag-smoke:
 	./scripts/diag_smoke.sh
-
-sim-json:
-	@mkdir -p $(BIN)
-	$(GO) build -o $(BIN)/floorsim ./cmd/floorsim
-	$(BIN)/floorsim -device $(SIM_DEVICE) -events $(SIM_EVENTS) -seed $(SIM_SEED) \
-		-intensity $(SIM_INTENSITY) -out $(SIM_OUT)
-	$(BIN)/floorsim -validate $(SIM_OUT)
-
-sim-faults:
-	@mkdir -p $(BIN)
-	$(GO) build -o $(BIN)/floorsim ./cmd/floorsim
-	$(BIN)/floorsim -device $(SIM_DEVICE) -events $(SIM_EVENTS) -seed $(SIM_SEED) \
-		-intensity $(SIM_INTENSITY) -faults seed:$(SIM_FAULT_SEED) -out $(SIM_FAULTS_OUT)
-	$(BIN)/floorsim -validate $(SIM_FAULTS_OUT)
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzProblemDecode      -fuzztime $(FUZZTIME) .

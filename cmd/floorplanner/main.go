@@ -11,6 +11,7 @@
 //	floorplanner -problem my-problem.json -svg plan.svg -out solution.json
 //	floorplanner -session events.json -session-device fx70t -engine constructive
 //	floorplanner -session seeded:200 -seed 7      # generated online workload
+//	floorplanner -session seeded:250 -session-device k160t -intensity 0.6 -faults seed:7
 //
 // A problem file is JSON with the shape of floorplanner.Problem; the
 // built-in designs SDR, SDR2 and SDR3 reproduce the paper's case study.
@@ -20,7 +21,11 @@
 // events, or "seeded:N" for a generated workload) through a stateful
 // session — best-fit placement over free rectangles, floorplanner
 // fallback via -engine, threshold-triggered defragmentation — and
-// prints the placement and fragmentation summary.
+// prints the placement and fragmentation summary. -intensity sets the
+// generated workload's target occupancy, and -faults drives every frame
+// load through a reconfiguration fault-injection plan (see
+// reconfig.ParseFaultPlan); the summary then adds the retry, repair and
+// rollback counts.
 package main
 
 import (
@@ -29,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"strconv"
@@ -37,38 +43,49 @@ import (
 
 	floorplanner "repro"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/logx"
+	"repro/internal/reconfig"
 	"repro/internal/sdr"
 )
 
 func main() {
-	if err := run(); err != nil {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "floorplanner:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and writes results to stdout; structured logs go to
+// stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("floorplanner", flag.ContinueOnError)
 	var (
-		problemPath = flag.String("problem", "", "path to a problem JSON file")
-		design      = flag.String("design", "", "built-in design: SDR, SDR2 or SDR3")
-		engine      = flag.String("engine", "exact", "engine: "+strings.Join(floorplanner.EngineNames(), ", "))
-		members     = flag.String("members", "", "comma-separated member engines of -engine portfolio (raced) or -engine fallback (tried in order); empty = the preset's default list")
-		fallback    = flag.String("fallback", "", "comma-separated engine chain; shorthand for -engine fallback -members CHAIN")
-		timeLimit   = flag.Duration("time", 60*time.Second, "solve time limit")
-		seed        = flag.Int64("seed", 1, "seed for randomized engines")
-		workers     = flag.Int("workers", 0, "parallel workers (engine dependent)")
-		outPath     = flag.String("out", "", "write the solution as JSON to this file")
-		ascii       = flag.Bool("ascii", true, "print the floorplan as ASCII art")
-		svgPath     = flag.String("svg", "", "write the floorplan as SVG to this file")
-		trace       = flag.Bool("trace", false, "print solve telemetry: per-span counters and the incumbent trajectory")
-		sessionSpec = flag.String("session", "", "online mode: replay a JSON event stream from this file, or \"seeded:N\" to generate N events with -seed")
-		sessionDev  = flag.String("session-device", "fx70t", "device for -session mode: fx70t or k160t")
-		fragThresh  = flag.Float64("frag-threshold", 0, "fragmentation threshold for -session mode (0 = default, negative disables defragmentation)")
-		logLevel    = flag.String("log-level", "info", "log level: "+logx.Levels)
-		logFormat   = flag.String("log-format", "text", "log format: "+logx.Formats)
+		problemPath = fs.String("problem", "", "path to a problem JSON file")
+		design      = fs.String("design", "", "built-in design: SDR, SDR2 or SDR3")
+		engine      = fs.String("engine", "exact", "engine: "+strings.Join(floorplanner.EngineNames(), ", "))
+		members     = fs.String("members", "", "comma-separated member engines of -engine portfolio (raced) or -engine fallback (tried in order); empty = the preset's default list")
+		fallback    = fs.String("fallback", "", "comma-separated engine chain; shorthand for -engine fallback -members CHAIN")
+		timeLimit   = fs.Duration("time", 60*time.Second, "solve time limit")
+		seed        = fs.Int64("seed", 1, "seed for randomized engines")
+		workers     = fs.Int("workers", 0, "parallel workers (engine dependent)")
+		outPath     = fs.String("out", "", "write the solution as JSON to this file")
+		ascii       = fs.Bool("ascii", true, "print the floorplan as ASCII art")
+		svgPath     = fs.String("svg", "", "write the floorplan as SVG to this file")
+		trace       = fs.Bool("trace", false, "print solve telemetry: per-span counters and the incumbent trajectory")
+		sessionSpec = fs.String("session", "", "online mode: replay a JSON event stream from this file, or \"seeded:N\" to generate N events with -seed")
+		sessionDev  = fs.String("session-device", "fx70t", "device for -session mode: fx70t or k160t")
+		fragThresh  = fs.Float64("frag-threshold", 0, "fragmentation threshold for -session mode (0 = default, negative disables defragmentation)")
+		intensity   = fs.Float64("intensity", 0.5, "target occupancy in (0, 1] of a -session seeded:N workload")
+		faults      = fs.String("faults", "", "fault-injection plan for -session mode, e.g. seed:7 or script:transient,pass (empty disables)")
+		logLevel    = fs.String("log-level", "info", "log level: "+logx.Levels)
+		logFormat   = fs.String("log-format", "text", "log format: "+logx.Formats)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Results go to stdout; structured logs (engine warnings, guard
 	// recoveries) go to stderr through the shared handler, so the two
@@ -83,7 +100,17 @@ func run() error {
 		if *problemPath != "" || *design != "" {
 			return fmt.Errorf("-session is an online mode; drop -problem/-design")
 		}
-		return runSession(*sessionSpec, *sessionDev, *engine, *fragThresh, *seed, *timeLimit, *outPath)
+		return runSession(stdout, sessionOptions{
+			spec:          *sessionSpec,
+			device:        *sessionDev,
+			engine:        *engine,
+			fragThreshold: *fragThresh,
+			intensity:     *intensity,
+			faults:        *faults,
+			seed:          *seed,
+			budget:        *timeLimit,
+			out:           *outPath,
+		})
 	}
 
 	p, err := loadProblem(*problemPath, *design)
@@ -127,12 +154,12 @@ func run() error {
 	if rec != nil {
 		// Print the telemetry before the outcome so it survives even the
 		// error paths below.
-		fmt.Print(rec.Table())
-		fmt.Println()
+		fmt.Fprint(stdout, rec.Table())
+		fmt.Fprintln(stdout)
 	}
 	switch {
 	case errors.Is(err, floorplanner.ErrInfeasible):
-		fmt.Println("INFEASIBLE: no floorplan satisfies the constraints")
+		fmt.Fprintln(stdout, "INFEASIBLE: no floorplan satisfies the constraints")
 		return nil
 	case errors.Is(err, floorplanner.ErrNoSolution):
 		return fmt.Errorf("no solution found within %s (try a larger -time)", *timeLimit)
@@ -140,16 +167,16 @@ func run() error {
 		return err
 	}
 
-	fmt.Print(sol.Summary(p))
+	fmt.Fprint(stdout, sol.Summary(p))
 	if *ascii {
-		fmt.Println()
-		fmt.Print(floorplanner.RenderASCII(p, sol))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, floorplanner.RenderASCII(p, sol))
 	}
 	if *svgPath != "" {
 		if err := os.WriteFile(*svgPath, []byte(floorplanner.RenderSVG(p, sol)), 0o644); err != nil {
 			return err
 		}
-		fmt.Println("wrote", *svgPath)
+		fmt.Fprintln(stdout, "wrote", *svgPath)
 	}
 	if *outPath != "" {
 		data, err := json.MarshalIndent(sol, "", "  ")
@@ -159,44 +186,54 @@ func run() error {
 		if err := os.WriteFile(*outPath, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Println("wrote", *outPath)
+		fmt.Fprintln(stdout, "wrote", *outPath)
 	}
 	return nil
 }
 
+// sessionOptions are the -session mode's flags.
+type sessionOptions struct {
+	spec, device, engine, faults, out string
+	fragThreshold, intensity          float64
+	seed                              int64
+	budget                            time.Duration
+}
+
 // runSession is the -session online mode: replay an event stream
 // through a facade Session and print what happened.
-func runSession(spec, deviceName, engineName string, fragThresh float64, seed int64, budget time.Duration, outPath string) error {
-	var dev *floorplanner.Device
-	switch strings.ToLower(deviceName) {
-	case "fx70t", "virtex5", "xc5vfx70t":
-		dev = floorplanner.VirtexFX70T()
-	case "k160t", "kintex7", "xc7k160t":
-		dev = floorplanner.Kintex7K160T()
-	default:
-		return fmt.Errorf("unknown -session-device %q (want fx70t or k160t)", deviceName)
+func runSession(stdout io.Writer, o sessionOptions) error {
+	dev, err := device.ByName(o.device)
+	if err != nil {
+		return fmt.Errorf("-session-device: %w", err)
 	}
-	engine, err := floorplanner.NewEngine(engineName)
+	if !(o.intensity > 0 && o.intensity <= 1) {
+		return fmt.Errorf("-intensity %v outside (0, 1]", o.intensity)
+	}
+	plan, err := reconfig.ParseFaultPlan(o.faults)
+	if err != nil {
+		return fmt.Errorf("-faults: %w", err)
+	}
+	engine, err := floorplanner.NewEngine(o.engine)
 	if err != nil {
 		return err
 	}
 
 	var events []floorplanner.SessionEvent
-	if rest, ok := strings.CutPrefix(spec, "seeded:"); ok {
+	if rest, ok := strings.CutPrefix(o.spec, "seeded:"); ok {
 		n, err := strconv.Atoi(rest)
 		if err != nil || n <= 0 {
 			return fmt.Errorf("-session seeded:N needs a positive event count, got %q", rest)
 		}
 		events = floorplanner.GenerateWorkload(floorplanner.WorkloadConfig{
-			Seed: seed, Events: n, Device: dev,
+			Seed: o.seed, Events: n, Intensity: o.intensity, Device: dev,
 		})
 	} else {
-		data, err := os.ReadFile(spec)
+		data, err := os.ReadFile(o.spec)
 		if err != nil {
 			return err
 		}
 		if err := json.Unmarshal(data, &events); err != nil {
-			return fmt.Errorf("parsing %s: %w", spec, err)
+			return fmt.Errorf("parsing %s: %w", o.spec, err)
 		}
 	}
 	if len(events) == 0 {
@@ -206,8 +243,9 @@ func runSession(spec, deviceName, engineName string, fragThresh float64, seed in
 	mgr, err := floorplanner.NewSession(floorplanner.SessionConfig{
 		Device:        dev,
 		Engine:        engine,
-		FragThreshold: fragThresh,
-		SolveBudget:   budget,
+		FragThreshold: o.fragThreshold,
+		SolveBudget:   o.budget,
+		Faults:        plan,
 	})
 	if err != nil {
 		return err
@@ -218,31 +256,35 @@ func runSession(spec, deviceName, engineName string, fragThresh float64, seed in
 			return fmt.Errorf("event %d (%s %q): %w", i+1, ev.Kind, ev.Name, err)
 		}
 		if res.Rejected && ev.Kind == floorplanner.SessionArrival {
-			fmt.Printf("event %4d: rejected %q (%s)\n", res.Seq, ev.Name, res.Reason)
+			fmt.Fprintf(stdout, "event %4d: rejected %q (%s)\n", res.Seq, ev.Name, res.Reason)
 		}
 		if d := res.Defrag; d != nil && d.Executed {
-			fmt.Printf("event %4d: defrag %d moves, frag %.3f -> %.3f\n",
+			fmt.Fprintf(stdout, "event %4d: defrag %d moves, frag %.3f -> %.3f\n",
 				d.AtEvent, d.Planned, d.FragBefore, d.FragAfter)
 		}
 	}
 
 	snap := mgr.Snapshot()
-	st := snap.Stats
-	fmt.Printf("%d events on %s: %d placed (%d fallback), %d rejected, %d live\n",
+	st, rc := snap.Stats, snap.Reconfig
+	fmt.Fprintf(stdout, "%d events on %s: %d placed (%d fallback), %d rejected, %d live\n",
 		st.Events, snap.Device, st.Placed, st.PlacedFallback, st.Rejected, len(snap.Live))
-	fmt.Printf("defrag: %d cycles, %d moves, %d corrupted frames\n",
+	fmt.Fprintf(stdout, "defrag: %d cycles, %d moves, %d corrupted frames\n",
 		st.DefragCycles, st.DefragMoves, st.CorruptedFrames)
-	fmt.Printf("final fragmentation %.3f, occupancy %.3f, reconfig busy %s\n",
-		snap.Fragmentation, snap.Occupancy, snap.Reconfig.BusyTime.Round(time.Microsecond))
-	if outPath != "" {
+	if plan != nil {
+		fmt.Fprintf(stdout, "faults %s: %d injected, %d retries, %d corruptions repaired, %d rollbacks\n",
+			o.faults, rc.FaultsInjected, rc.Retries, rc.CorruptionsRepaired, rc.Rollbacks)
+	}
+	fmt.Fprintf(stdout, "final fragmentation %.3f, occupancy %.3f, reconfig busy %s\n",
+		snap.Fragmentation, snap.Occupancy, rc.BusyTime.Round(time.Microsecond))
+	if o.out != "" {
 		data, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		if err := os.WriteFile(o.out, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Println("wrote", outPath)
+		fmt.Fprintln(stdout, "wrote", o.out)
 	}
 	return nil
 }

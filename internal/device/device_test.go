@@ -346,3 +346,21 @@ func TestKintex7K160T(t *testing.T) {
 		t.Fatalf("BRAM frames = %d", d.Type(id).Frames)
 	}
 }
+
+func TestDeviceByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"fx70t": "xc5vfx70t", "Virtex5": "xc5vfx70t", "xc5vfx70t": "xc5vfx70t",
+		"k160t": "xc7k160t", "KINTEX7": "xc7k160t", "xc7k160t": "xc7k160t",
+	} {
+		d, err := ByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d.Name() != want {
+			t.Fatalf("%s resolved to %s, want %s", name, d.Name(), want)
+		}
+	}
+	if _, err := ByName("nope"); err == nil {
+		t.Fatal("unknown device accepted")
+	}
+}

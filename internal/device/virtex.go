@@ -1,6 +1,11 @@
 package device
 
-import "repro/internal/grid"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/grid"
+)
 
 // Frames per tile type on Virtex-5, as given in Section VI of the paper:
 // a CLB tile takes 36 configuration frames, a BRAM tile 30, a DSP tile 28.
@@ -118,6 +123,20 @@ func Kintex7K160T() *Device {
 		panic("device: Kintex7K160T construction: " + err.Error())
 	}
 	return d
+}
+
+// ByName returns a fresh model of the named run-time device: "fx70t"
+// (also "virtex5", "xc5vfx70t") or "k160t" (also "kintex7", "xc7k160t"),
+// case-insensitively.
+func ByName(name string) (*Device, error) {
+	switch strings.ToLower(name) {
+	case "fx70t", "virtex5", "xc5vfx70t":
+		return VirtexFX70T(), nil
+	case "k160t", "kintex7", "xc7k160t":
+		return Kintex7K160T(), nil
+	default:
+		return nil, fmt.Errorf("unknown device %q (want fx70t or k160t)", name)
+	}
 }
 
 // Figure1Device returns the small two-type device of Figure 1, used to

@@ -60,7 +60,7 @@ type Breaker struct {
 // SessionStats carries the online-session specifics of an event-batch
 // record (pseudo-engine "session"): what the batch did to the live
 // device, so /debug/solves and the wide-event export tell the defrag
-// story without scraping SIM.json.
+// story.
 type SessionStats struct {
 	// SessionID names the session the batch was applied to.
 	SessionID string `json:"session_id"`

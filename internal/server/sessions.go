@@ -74,18 +74,33 @@ func newSessionRegistry(capacity int, ttl time.Duration) *sessionRegistry {
 	}
 }
 
-// evictExpiredLocked drops every session idle past the TTL. Callers
-// hold r.mu.
-func (r *sessionRegistry) evictExpiredLocked(now time.Time) {
+// evictExpiredLocked drops every session idle past the TTL and returns
+// them (nil when none expired). Callers hold r.mu and pass the result to
+// expire after releasing it: discarding a durable session removes its
+// directory, which must not stall the requests and scrapes that wait on
+// r.mu.
+func (r *sessionRegistry) evictExpiredLocked(now time.Time) []*liveSession {
+	var expired []*liveSession
 	for id, used := range r.lastUsed {
 		if now.Sub(used) > r.ttl {
-			ls := r.byID[id]
+			if ls := r.byID[id]; ls != nil {
+				expired = append(expired, ls)
+			}
 			delete(r.byID, id)
 			delete(r.lastUsed, id)
-			if r.onExpire != nil && ls != nil {
-				r.onExpire(ls)
-			}
 		}
+	}
+	return expired
+}
+
+// expire runs onExpire on the sessions evictExpiredLocked dropped.
+// Callers do not hold r.mu.
+func (r *sessionRegistry) expire(expired []*liveSession) {
+	if r.onExpire == nil {
+		return
+	}
+	for _, ls := range expired {
+		r.onExpire(ls)
 	}
 }
 
@@ -95,27 +110,30 @@ var errSessionLimit = fmt.Errorf("server: session limit reached")
 // add registers a new session, evicting idle ones first.
 func (r *sessionRegistry) add(ls *liveSession) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	now := time.Now()
-	r.evictExpiredLocked(now)
-	if len(r.byID) >= r.capacity {
-		return errSessionLimit
+	expired := r.evictExpiredLocked(now)
+	err := errSessionLimit
+	if len(r.byID) < r.capacity {
+		r.byID[ls.id] = ls
+		r.lastUsed[ls.id] = now
+		err = nil
 	}
-	r.byID[ls.id] = ls
-	r.lastUsed[ls.id] = now
-	return nil
+	r.mu.Unlock()
+	r.expire(expired)
+	return err
 }
 
 // get returns the session and refreshes its TTL clock.
 func (r *sessionRegistry) get(id string) (*liveSession, bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	now := time.Now()
-	r.evictExpiredLocked(now)
+	expired := r.evictExpiredLocked(now)
 	ls, ok := r.byID[id]
 	if ok {
 		r.lastUsed[id] = now
 	}
+	r.mu.Unlock()
+	r.expire(expired)
 	return ls, ok
 }
 
@@ -133,12 +151,13 @@ func (r *sessionRegistry) remove(id string) (*liveSession, bool) {
 // list returns the live sessions ordered by creation time.
 func (r *sessionRegistry) list() []*liveSession {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evictExpiredLocked(time.Now())
+	expired := r.evictExpiredLocked(time.Now())
 	out := make([]*liveSession, 0, len(r.byID))
 	for _, ls := range r.byID {
 		out = append(out, ls)
 	}
+	r.mu.Unlock()
+	r.expire(expired)
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].created.Equal(out[j].created) {
 			return out[i].created.Before(out[j].created)
@@ -152,9 +171,11 @@ func (r *sessionRegistry) list() []*liveSession {
 // the floorpland_sessions_live gauge.
 func (r *sessionRegistry) live() int {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evictExpiredLocked(time.Now())
-	return len(r.byID)
+	expired := r.evictExpiredLocked(time.Now())
+	n := len(r.byID)
+	r.mu.Unlock()
+	r.expire(expired)
+	return n
 }
 
 // CreateSessionRequest is the POST /v1/sessions body.
@@ -221,14 +242,11 @@ type SessionEventsResponse struct {
 // recovered session to the model's canonical device, so every session on
 // one model shares its placement index and candidate lists.
 func sessionDevice(name string) (*device.Device, error) {
-	switch strings.ToLower(name) {
-	case "fx70t", "virtex5", "xc5vfx70t":
-		return device.Intern(device.VirtexFX70T()), nil
-	case "k160t", "kintex7", "xc7k160t":
-		return device.Intern(device.Kintex7K160T()), nil
-	default:
-		return nil, fmt.Errorf("unknown device %q (want fx70t or k160t)", name)
+	dev, err := device.ByName(name)
+	if err != nil {
+		return nil, err
 	}
+	return device.Intern(dev), nil
 }
 
 // handleSessions serves the collection: POST creates, GET lists.

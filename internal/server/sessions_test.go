@@ -284,6 +284,57 @@ func TestSessionLimitAndTTL(t *testing.T) {
 	}
 }
 
+// TestRegistryExpiresOutsideLock: onExpire discards a durable session,
+// which removes its directory, so it must run after the registry lock is
+// released. While one caller sits in a blocked onExpire, a lookup of
+// another session must still return. The path where nothing expires
+// stays allocation-free.
+func TestRegistryExpiresOutsideLock(t *testing.T) {
+	r := newSessionRegistry(4, time.Hour)
+	entered := make(chan string, 1)
+	release := make(chan struct{})
+	r.onExpire = func(ls *liveSession) {
+		entered <- ls.id
+		<-release
+	}
+	for _, id := range []string{"idle", "busy"} {
+		if err := r.add(&liveSession{id: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.get("busy") }); n != 0 {
+		t.Fatalf("get with nothing expiring allocates %v times", n)
+	}
+
+	r.mu.Lock()
+	r.lastUsed["idle"] = time.Now().Add(-2 * time.Hour)
+	r.mu.Unlock()
+	evicting := make(chan int)
+	go func() { evicting <- r.live() }()
+	if id := <-entered; id != "idle" {
+		t.Fatalf("expired %q, want idle", id)
+	}
+
+	looked := make(chan bool)
+	go func() {
+		_, ok := r.get("busy")
+		looked <- ok
+	}()
+	select {
+	case ok := <-looked:
+		if !ok {
+			t.Fatal("live session lost while another expired")
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("get blocked behind a running onExpire")
+	}
+	close(release)
+	if n := <-evicting; n != 1 {
+		t.Fatalf("live() = %d after expiring one of two, want 1", n)
+	}
+}
+
 // TestSessionRequestValidation sweeps the error surface: bad device,
 // bad engine, unknown id, malformed batches, wrong methods.
 func TestSessionRequestValidation(t *testing.T) {

@@ -347,3 +347,20 @@ func TestDiscardRemovesFiles(t *testing.T) {
 		t.Fatalf("session dir still present after Discard: %v", err)
 	}
 }
+
+// TestPurgeSyncsParent: Purge makes the removal durable by fsyncing the
+// parent directory and returns that step's error, so a purge whose
+// parent cannot be synced is not reported as done.
+func TestPurgeSyncsParent(t *testing.T) {
+	parent := filepath.Join(t.TempDir(), "sessions")
+	store, err := OpenStore(filepath.Join(parent, "s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(parent); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Purge(); err == nil {
+		t.Fatal("Purge reported success without a parent directory to sync")
+	}
+}

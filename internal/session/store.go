@@ -167,19 +167,24 @@ func (o osFS) syncDir() error {
 		dirs = append(dirs, filepath.Dir(o.dir))
 	}
 	for _, d := range dirs {
-		f, err := os.Open(d)
-		if err != nil {
-			return err
-		}
-		err = f.Sync()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := fsyncDir(d); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fsyncDir makes the entries of directory d durable.
+func fsyncDir(d string) error {
+	f, err := os.Open(d)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Store owns one session's durable files. Safe for concurrent use.
@@ -478,9 +483,13 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Purge closes the store and deletes its directory — the session can
-// never be resurrected by replay.
+// Purge closes the store and deletes its directory, then fsyncs the
+// parent so the removal survives a crash: the session can never be
+// resurrected by replay.
 func (s *Store) Purge() error {
 	s.Close()
-	return os.RemoveAll(s.dir)
+	if err := os.RemoveAll(s.dir); err != nil {
+		return err
+	}
+	return fsyncDir(filepath.Dir(s.dir))
 }

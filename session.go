@@ -45,5 +45,6 @@ const (
 func NewSession(cfg SessionConfig) (*Session, error) { return session.New(cfg) }
 
 // GenerateWorkload produces a deterministic seeded arrival/departure
-// stream for driving a Session (the same generator cmd/floorsim uses).
+// stream for driving a Session (the generator behind
+// `floorplanner -session seeded:N`).
 func GenerateWorkload(cfg WorkloadConfig) []SessionEvent { return session.GenerateWorkload(cfg) }
